@@ -15,10 +15,7 @@
 //! The `power` block keeps its historical meaning (batched vs scalar)
 //! for comparability across PRs; the `power_bitsim` block measures the
 //! production `characterize_power` path, which packs 64 stimulus
-//! vectors per machine word on top of the same thread pool. The
-//! `obs_overhead` block guards the observability layer: the same
-//! bit-parallel hot loop with the `obs` metrics registry live vs
-//! disabled must stay within 2% of each other.
+//! vectors per machine word on top of the same thread pool.
 //!
 //! Run: `cargo run -p powerpruning-bench --bin bench_characterization --release`
 //!
@@ -226,86 +223,6 @@ fn measure_pruned(
         unpruned_s,
         gates_pruned,
         identical: pruned_profile == unpruned_profile,
-    }
-}
-
-/// Overhead of the live metrics registry on the bit-parallel power
-/// hot loop: 5 enabled/disabled **A-B-B-A quads**, overhead taken as
-/// the **minimum** of the per-quad ratios. Two deliberate noise
-/// defenses, tuned on a machine whose load drifts run-to-run by
-/// double digits:
-///
-/// * Within a quad, each side samples both positions — whichever side
-///   runs second in a back-to-back pair measures ~2-3% faster on this
-///   workload (clock/cache drift), so a fixed order would report that
-///   bias as registry overhead.
-/// * Across quads, a load spike inflates the quad it lands in; the
-///   minimum votes those out. A *real* mirror-path regression (the
-///   thing this gate exists to catch — e.g. a histogram observe
-///   slipping inside the event loop) is systematic and shows in every
-///   quad, the minimum included.
-///
-/// The sample count is floored at 8000/weight regardless of the bench
-/// knobs, since at the CI-reduced 400 samples one run is ~10ms and
-/// timer noise alone swings a ratio by several percent.
-struct ObsOverhead {
-    enabled_s: f64,
-    disabled_s: f64,
-    best_ratio: f64,
-}
-
-impl ObsOverhead {
-    fn overhead_pct(&self) -> f64 {
-        (self.best_ratio - 1.0) * 100.0
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"enabled_s\": {:.4}, \"disabled_s\": {:.4}, \"overhead_pct\": {:.2}}}",
-            self.enabled_s,
-            self.disabled_s,
-            self.overhead_pct(),
-        )
-    }
-}
-
-fn measure_obs_overhead(
-    hw: &MacHardware,
-    stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-) -> ObsOverhead {
-    let mut cfg = *cfg;
-    cfg.samples_per_weight = cfg.samples_per_weight.max(8000);
-    let mut enabled_s = f64::INFINITY;
-    let mut disabled_s = f64::INFINITY;
-    let mut ratios = Vec::new();
-    let timed_run = |on: bool| {
-        obs::set_enabled(on);
-        let t = Instant::now();
-        let _ = characterize_power(hw, stats, binning, &cfg);
-        t.elapsed().as_secs_f64()
-    };
-    for _ in 0..5 {
-        // A-B-B-A: enabled, disabled, disabled, enabled.
-        let e1 = timed_run(true);
-        let d1 = timed_run(false);
-        let d2 = timed_run(false);
-        let e2 = timed_run(true);
-        let quad_enabled = e1 + e2;
-        let quad_disabled = (d1 + d2).max(1e-9);
-        enabled_s = enabled_s.min(quad_enabled);
-        disabled_s = disabled_s.min(quad_disabled);
-        ratios.push(quad_enabled / quad_disabled);
-    }
-    // The warm-pipeline measurements below assert on counters; leave
-    // the registry exactly as it normally runs.
-    obs::set_enabled(true);
-    ratios.sort_by(f64::total_cmp);
-    ObsOverhead {
-        enabled_s,
-        disabled_s,
-        best_ratio: ratios[0],
     }
 }
 
@@ -636,15 +553,6 @@ fn main() {
         power_pruned.identical
     );
 
-    // --- Observability overhead on the same hot loop ---
-    let obs_overhead = measure_obs_overhead(&hw, &stats, &binning, &power_cfg);
-    eprintln!(
-        "obs:    enabled {:.2}s, disabled {:.2}s -> {:+.2}% overhead",
-        obs_overhead.enabled_s,
-        obs_overhead.disabled_s,
-        obs_overhead.overhead_pct()
-    );
-
     // --- Timing characterization ---
     let timing_cfg = TimingConfig {
         exhaustive: false,
@@ -717,7 +625,6 @@ fn main() {
             "  \"power\": {},\n",
             "  \"power_bitsim\": {},\n",
             "  \"power_pruned\": {},\n",
-            "  \"obs_overhead\": {},\n",
             "  \"timing\": {},\n",
             "  \"pipeline_warm_start\": {},\n",
             "  \"pipeline_full_warm\": {},\n",
@@ -729,7 +636,6 @@ fn main() {
         power.json(),
         power_bitsim.json(),
         power_pruned.json(),
-        obs_overhead.json(),
         timing.json(),
         warm.json(),
         full.json(),
@@ -776,11 +682,6 @@ fn main() {
         power_pruned.speedup() >= 0.95,
         "interval-pruned hot loop is {:.2}x the unpruned loop (pruning must stay free)",
         power_pruned.speedup()
-    );
-    assert!(
-        obs_overhead.overhead_pct() < 2.0,
-        "metrics registry adds {:.2}% to the bit-parallel power hot loop (budget: 2%)",
-        obs_overhead.overhead_pct()
     );
     assert!(
         timing.identical,

@@ -6,7 +6,7 @@
 //! the same client core [`charstore::RemoteTier`] uses for the object
 //! protocol.
 
-use crate::http;
+use crate::router;
 use httpwire::{ClientConfig, HttpClient, RequestSpec};
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ impl Client {
                 content_type: "application/json",
                 body: body.as_bytes(),
                 trace: trace.as_deref(),
-                response_limit: http::MAX_BODY_BYTES,
+                response_limit: router::MAX_BODY_BYTES,
                 keep_alive: true,
             })
             .map_err(|e| format!("cannot reach charserve at {}: {e}", self.http.addr()))?;

@@ -1,435 +1,93 @@
-//! The daemon's HTTP surface: route body limits plus blocking framing
-//! helpers over the shared sans-IO [`httpwire`] core.
+//! Wire-level checks of the daemon's HTTP edge: raw, possibly
+//! malformed bytes written to a real [`Server`](crate::Server) socket,
+//! status codes read back — the view a misbehaving client gets.
 //!
-//! The protocol itself — incremental head parsing, keep-alive
-//! semantics, response serialization, the before-allocation limit
-//! discipline — lives in [`httpwire`], where the nonblocking reactor,
-//! the blocking clients and the tests all drive the exact same parser.
-//! This module keeps what is charserve *policy* rather than wire
-//! mechanics: the per-route body caps ([`MAX_BODY_BYTES`] for JSON
-//! endpoints, [`MAX_OBJECT_BYTES`] for object ingest) and a handful of
-//! blocking convenience helpers the tests and tools use to speak the
-//! protocol over plain [`std::net`] streams.
-//!
-//! The blocking readers here deliberately consume **one byte past
-//! nothing**: they feed the sans-IO parser exactly the bytes a head
-//! occupies, so the stream position after [`read_head`] is the first
-//! body byte, and after [`read_response`] the first byte of the next
-//! pipelined response — no buffered look-ahead is ever discarded.
-
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-
-pub use httpwire::{
-    is_disconnect, is_too_large, parse_request_head, parse_response_head, Parsed, Response,
-    ResponseHead, MAX_HEADER_LINES, MAX_LINE_BYTES,
-};
-
-/// A parsed request line + headers, before any body byte is read. The
-/// server routes on this to pick the body limit for [`read_body`].
-pub type Head = httpwire::RequestHead;
-
-/// Maximum accepted body length for JSON endpoints.
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Maximum accepted body length for object ingest (`PUT /object/…`):
-/// checksummed containers of captured GEMM streams run far past the
-/// JSON limit at Full scale. Defined as the client-side fetch cap so
-/// the two ends of the object protocol can never drift apart — a
-/// daemon that stored objects larger than the fetch cap would force
-/// permanent recomputes fleet-wide.
-pub const MAX_OBJECT_BYTES: usize = charstore::remote::MAX_OBJECT_BYTES;
-
-/// A parsed request head plus its body — the value route handlers
-/// receive. Handlers never see a socket; the reactor (or a test)
-/// assembles this from parsed bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// `GET` / `POST` / `PUT` / ….
-    pub method: String,
-    /// Absolute path, e.g. `/characterize`.
-    pub path: String,
-    /// Raw body bytes (empty when there was none). JSON endpoints
-    /// decode UTF-8 themselves; object endpoints take the bytes as-is.
-    pub body: Vec<u8>,
-}
-
-impl Request {
-    /// A body-less request — the common case in handler unit tests.
-    #[must_use]
-    pub fn new(method: &str, path: &str) -> Request {
-        Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            body: Vec::new(),
-        }
-    }
-
-    /// Attaches a body.
-    #[must_use]
-    pub fn with_body(mut self, body: impl Into<Vec<u8>>) -> Request {
-        self.body = body.into();
-        self
-    }
-}
-
-/// The body limit for a routed request head: object ingest accepts
-/// full container payloads, every JSON endpoint keeps the tight cap.
-#[must_use]
-pub fn body_limit(head: &Head) -> usize {
-    if head.method == "PUT" && head.path.starts_with("/object/") {
-        MAX_OBJECT_BYTES
-    } else {
-        MAX_BODY_BYTES
-    }
-}
-
-/// Feeds `reader` one byte at a time into `parse` until it yields a
-/// complete head. Byte-at-a-time keeps the reader positioned exactly at
-/// the first post-head byte. Callers reading several responses off one
-/// stream must NOT wrap it in a fresh `BufReader` per call — the
-/// prefetched tail of the next response dies with the wrapper.
-fn read_parsed<T>(
-    reader: &mut impl Read,
-    parse: impl Fn(&[u8]) -> io::Result<Parsed<T>>,
-) -> io::Result<T> {
-    let mut buf = Vec::new();
-    loop {
-        if let Parsed::Complete { head, .. } = parse(&buf)? {
-            return Ok(head);
-        }
-        let mut byte = [0u8; 1];
-        if reader.read(&mut byte)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-head",
-            ));
-        }
-        buf.push(byte[0]);
-    }
-}
-
-/// Reads a request head: request line plus headers, stopping before
-/// the body. No buffer is sized from client input here.
-///
-/// # Errors
-///
-/// Returns an `InvalidData` error on any framing violation, or an
-/// [`is_disconnect`] error if the client went away mid-head.
-pub fn read_head(reader: &mut impl Read) -> io::Result<Head> {
-    read_parsed(reader, httpwire::parse_request_head)
-}
-
-/// Reads exactly `declared` body bytes, rejecting a declaration over
-/// `limit` **before the buffer is allocated** — the load-bearing OOM
-/// defense: a hostile `Content-Length` can never size an allocation.
-///
-/// # Errors
-///
-/// An [`is_too_large`] error when `declared > limit` (the server
-/// answers `413`), or the underlying I/O error on a short read.
-pub fn read_body(reader: &mut impl Read, declared: u64, limit: usize) -> io::Result<Vec<u8>> {
-    if declared > limit as u64 {
-        return Err(httpwire::too_large(declared, limit));
-    }
-    let mut body = vec![0u8; declared as usize];
-    reader.read_exact(&mut body)?;
-    Ok(body)
-}
-
-/// Reads one request from a server-side connection, with the JSON
-/// body limit ([`MAX_BODY_BYTES`]). The daemon's reactor parses from
-/// its own buffers instead; this is the test-side helper.
-///
-/// # Errors
-///
-/// Returns an `InvalidData` error on any framing violation (the server
-/// answers those with `400`).
-pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    // Unbuffered on purpose: a `BufReader` created here would prefetch
-    // bytes of the next pipelined request and lose them on drop.
-    let mut reader = stream;
-    let head = read_head(&mut reader)?;
-    let body = read_body(&mut reader, head.content_length, MAX_BODY_BYTES)?;
-    Ok(Request {
-        method: head.method,
-        path: head.path,
-        body,
-    })
-}
-
-/// Writes a response with an explicit content type and raw body bytes,
-/// then flushes, answering `Connection: close` — the one-shot test and
-/// tool path (the daemon's reactor serializes through
-/// [`httpwire::Response`] with real keep-alive semantics instead).
-///
-/// When the writing thread is inside an [`obs::with_trace`] scope the
-/// response carries an `X-Trace-Id` header, so a client that did not
-/// send a trace of its own still learns the ID the daemon logged
-/// under.
-///
-/// # Errors
-///
-/// Returns any I/O error from the stream.
-pub fn write_response_bytes(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &'static str,
-    body: &[u8],
-) -> io::Result<()> {
-    let trace = obs::current_trace().map(|t| t.to_string());
-    let response = Response::bytes(status, content_type, body.to_vec());
-    stream.write_all(&response.encode(false, trace.as_deref()))?;
-    stream.flush()
-}
-
-/// Writes a JSON response and flushes.
-///
-/// # Errors
-///
-/// Returns any I/O error from the stream.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    write_response_bytes(stream, status, "application/json", body.as_bytes())
-}
-
-/// Writes one client request and flushes, offering keep-alive. Inside
-/// an [`obs::with_trace`] scope the request carries an `X-Trace-Id`
-/// header, which the daemon adopts — client-side spans and daemon-side
-/// spans land in the same trace.
-///
-/// # Errors
-///
-/// Returns any I/O error from the stream.
-pub fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> io::Result<()> {
-    let trace = obs::current_trace().map(|t| t.to_string());
-    let head = httpwire::encode_request_head(
-        method,
-        path,
-        "application/json",
-        body.len(),
-        trace.as_deref(),
-        true,
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Reads a response head (status line + headers), stopping before the
-/// body — for callers that need the parsed head (status, declared
-/// length, keep-alive) rather than just `(status, body)`.
-///
-/// # Errors
-///
-/// Returns an `InvalidData` error on framing violations, or an
-/// [`is_disconnect`] error if the server went away mid-head.
-pub fn read_response_head(reader: &mut impl Read) -> io::Result<ResponseHead> {
-    read_parsed(reader, httpwire::parse_response_head)
-}
-
-/// Reads one response from a client-side connection: `(status, body)`.
-/// Reads exactly one response's bytes, so pipelined callers can invoke
-/// it repeatedly on the same stream.
-///
-/// # Errors
-///
-/// Returns an `InvalidData` error on framing violations.
-pub fn read_response(stream: &TcpStream) -> io::Result<(u16, String)> {
-    // Unbuffered on purpose: see `read_request`.
-    let mut reader = stream;
-    let head: ResponseHead = read_parsed(&mut reader, httpwire::parse_response_head)?;
-    let body = read_body(&mut reader, head.content_length, MAX_BODY_BYTES)?;
-    String::from_utf8(body)
-        .map(|body| (head.status, body))
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))
-}
+//! The framing itself is [`httpwire`]'s sans-IO parser and is
+//! unit-tested there; these tests pin how the reactor *answers* a
+//! framing violation: malformed input is a `400` and closes the
+//! connection, only an honest-but-oversized declaration is a `413`,
+//! and neither disturbs the daemon.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::io::BufReader;
-    use std::net::TcpListener;
+    use crate::{Client, ServeConfig, Server};
+    use httpwire::{HttpConnection, MAX_HEADER_LINES};
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Round-trips one request/response pair over a real socket.
-    #[test]
-    fn request_and_response_round_trip() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let req = read_request(&stream).unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/characterize");
-            assert_eq!(req.body, br#"{"scale": "micro"}"#);
-            let mut stream = stream;
-            write_response(&mut stream, 200, r#"{"ok": true}"#).unwrap();
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_request(
-            &mut stream,
-            "POST",
-            "/characterize",
-            r#"{"scale": "micro"}"#,
-        )
-        .unwrap();
-        let (status, body) = read_response(&stream).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, r#"{"ok": true}"#);
-        server.join().unwrap();
+    fn boot() -> (PathBuf, String, std::thread::JoinHandle<()>) {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "charserve-http-test-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            store_dir: dir.clone(),
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(&cfg).expect("bind charserve");
+        let addr = server.local_addr().to_string();
+        let daemon = std::thread::spawn(move || server.serve().expect("serve"));
+        (dir, addr, daemon)
     }
 
-    #[test]
-    fn truncated_requests_are_framing_errors_not_empty_requests() {
-        // A client that disconnects mid-headers must yield an error —
-        // never a parsed request with an empty body. All of these are
-        // disconnects (the client went away), which the server logs and
-        // drops rather than answering.
-        for partial in [
-            &b""[..],
-            b"POST /characterize HTTP/1.1\r\n",
-            b"POST /characterize HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
-        ] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let server = std::thread::spawn(move || {
-                let (stream, _) = listener.accept().unwrap();
-                read_request(&stream)
-            });
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(partial).unwrap();
-            stream.flush().unwrap();
-            drop(stream);
-            let err = server
-                .join()
-                .unwrap()
-                .expect_err("truncated request parsed as complete");
-            assert!(is_disconnect(&err), "not classified as disconnect: {err}");
-        }
+    /// Writes `wire` on a fresh connection and returns the status of
+    /// the single response, asserting the daemon then closes it.
+    fn status_of(addr: &str, wire: &[u8]) -> u16 {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(wire).unwrap();
+        s.flush().unwrap();
+        let mut conn = HttpConnection::from(s);
+        let (head, _) = conn.read_response(crate::router::MAX_BODY_BYTES).unwrap();
+        assert!(
+            !head.keep_alive,
+            "framing rejection left the connection open"
+        );
+        head.status
     }
 
-    #[test]
-    fn header_floods_are_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            read_request(&stream)
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
-        for i in 0..(MAX_HEADER_LINES + 2) {
-            stream
-                .write_all(format!("X-Flood-{i}: y\r\n").as_bytes())
-                .unwrap();
-        }
-        stream.flush().unwrap();
-        let err = server.join().unwrap().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn oversized_bodies_are_rejected_before_allocation() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            read_request(&stream)
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"POST /x HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
-            .unwrap();
-        stream.flush().unwrap();
-        let err = server.join().unwrap().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(is_too_large(&err), "oversized body not typed as 413: {err}");
+    fn stop(dir: PathBuf, addr: &str, daemon: std::thread::JoinHandle<()>) {
+        Client::new(addr).shutdown().expect("shutdown");
+        daemon.join().expect("daemon thread");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn overflowing_content_length_is_a_framing_error_not_a_413() {
         // A length that does not even fit in u64 is malformed input
         // (400), not an honest-but-oversized declaration (413). Either
-        // way, no buffer is allocated.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            read_request(&stream)
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"POST /x HTTP/1.1\r\nContent-Length: 99999999999999999999999999\r\n\r\n")
-            .unwrap();
-        stream.flush().unwrap();
-        let err = server.join().unwrap().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(!is_too_large(&err), "overflow misclassified as 413");
-        // Same for a negative length.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            read_request(&stream)
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"POST /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
-            .unwrap();
-        stream.flush().unwrap();
-        let err = server.join().unwrap().unwrap_err();
-        assert!(!is_too_large(&err));
-    }
-
-    #[test]
-    fn head_and_body_split_lets_routes_pick_their_limit() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(&stream);
-            let head = read_head(&mut reader).unwrap();
-            assert_eq!(head.method, "PUT");
-            assert_eq!(head.path, "/object/abc");
-            assert_eq!(head.content_length, 4);
-            assert_eq!(body_limit(&head), MAX_OBJECT_BYTES);
-            // A JSON-limit read of the same head would reject it…
-            assert!(is_too_large(
-                &read_body(&mut reader, head.content_length, 2).unwrap_err()
-            ));
-            // …while the object limit admits it (the reader is intact:
-            // the rejection above never consumed a byte).
+        // way, no buffer is allocated. Same for a negative length.
+        let (dir, addr, daemon) = boot();
+        for bad in ["99999999999999999999999999", "-5"] {
+            let wire = format!("POST /characterize HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
             assert_eq!(
-                read_body(&mut reader, head.content_length, 8).unwrap(),
-                b"BODY"
+                status_of(&addr, wire.as_bytes()),
+                400,
+                "Content-Length: {bad}"
             );
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"PUT /object/abc HTTP/1.1\r\nContent-Length: 4\r\n\r\nBODY")
-            .unwrap();
-        stream.flush().unwrap();
-        server.join().unwrap();
+        }
+        assert!(Client::new(&addr).healthz().is_ok());
+        stop(dir, &addr, daemon);
     }
 
-    /// Two pipelined responses on one stream read back in order, each
-    /// call consuming exactly one response's bytes.
     #[test]
-    fn read_response_consumes_exactly_one_pipelined_response() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut wire = Response::json(200, "first").encode(true, None);
-            wire.extend_from_slice(&Response::json(404, "second").encode(false, None));
-            stream.write_all(&wire).unwrap();
-        });
-        let stream = TcpStream::connect(addr).unwrap();
-        assert_eq!(read_response(&stream).unwrap(), (200, "first".to_string()));
-        assert_eq!(read_response(&stream).unwrap(), (404, "second".to_string()));
-        server.join().unwrap();
+    fn header_floods_are_rejected() {
+        // The flood never sends the blank line that ends a head: the
+        // daemon must reject it on the header count alone instead of
+        // buffering until the head deadline.
+        let (dir, addr, daemon) = boot();
+        let mut wire = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        for i in 0..(MAX_HEADER_LINES + 2) {
+            wire.extend_from_slice(format!("X-Flood-{i}: y\r\n").as_bytes());
+        }
+        assert_eq!(status_of(&addr, &wire), 400);
+        assert!(Client::new(&addr).healthz().is_ok());
+        stop(dir, &addr, daemon);
     }
 }

@@ -24,9 +24,10 @@
 //!   other N−1 register completion callbacks on the leader's flight
 //!   and share its result.
 //! * [`pool`] — the bounded worker pool the leaders schedule onto.
-//! * [`http`] / [`json`] — charserve's body-limit policy and blocking
-//!   framing helpers over the shared sans-IO [`httpwire`] core, and a
-//!   small JSON reader for the wire format.
+//! * [`json`] — a small JSON reader for the wire format. The HTTP
+//!   framing itself is the shared sans-IO [`httpwire`] core; the
+//!   per-route body limits live in [`router`], and how the daemon
+//!   answers framing violations on the wire is tested in `http`.
 //! * [`client`] — a blocking keep-alive client (over
 //!   [`httpwire::HttpClient`]) for the CLI (`charstore request`),
 //!   tests and CI.
@@ -58,7 +59,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
-pub mod http;
+#[cfg(test)]
+mod http;
 pub mod json;
 pub mod pool;
 pub mod reactor;

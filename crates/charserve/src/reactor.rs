@@ -40,9 +40,8 @@
 //! beyond it, dropped without ceremony) — measured backpressure instead
 //! of accept-queue collapse.
 
-use crate::http::{Head, Request};
-use crate::router::{error_body, Deferred, Reply};
-use httpwire::{Parsed, Response};
+use crate::router::{error_body, Deferred, Reply, Request};
+use httpwire::{Parsed, RequestHead, Response};
 use polling::{Interest, Poller, Waker};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -101,7 +100,7 @@ impl Default for ReactorConfig {
 /// typed router; reactor tests implement it in a dozen lines.
 pub trait Service {
     /// Body limit for a routed head (checked before any body buffering).
-    fn body_limit(&self, head: &Head) -> usize;
+    fn body_limit(&self, head: &RequestHead) -> usize;
     /// Handles one complete request. Runs on the reactor thread inside
     /// the request's trace scope — expensive work must go through
     /// [`Reply::Later`] and a worker pool, not block here.
@@ -458,7 +457,7 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Routes one complete request under its (adopted or minted) trace.
-    fn dispatch(&mut self, conn: &mut Conn, head: &Head, body: Vec<u8>) {
+    fn dispatch(&mut self, conn: &mut Conn, head: &RequestHead, body: Vec<u8>) {
         let request = Request {
             method: head.method.clone(),
             path: head.path.clone(),
@@ -688,8 +687,7 @@ impl<S: Service> Reactor<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http;
-    use std::io::BufReader;
+    use httpwire::{ClientConfig, HttpConnection, RequestSpec};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// A toy service: `GET /echo` answers inline, `POST /slow` answers
@@ -712,7 +710,7 @@ mod tests {
     }
 
     impl Service for Toy {
-        fn body_limit(&self, _head: &Head) -> usize {
+        fn body_limit(&self, _head: &RequestHead) -> usize {
             1024
         }
         fn handle(&self, request: &Request, deferred: &Deferred) -> Reply {
@@ -762,12 +760,24 @@ mod tests {
         (addr, toy, handle)
     }
 
+    /// Reads one response: `(status, body)`.
+    fn read(conn: &mut HttpConnection) -> (u16, String) {
+        let (head, body) = conn.read_response(1024).unwrap();
+        (head.status, String::from_utf8(body).unwrap())
+    }
+
+    /// A keep-alive connection with one `GET path` already sent.
+    fn get(addr: &str, path: &str) -> HttpConnection {
+        let mut conn = HttpConnection::connect(addr, &ClientConfig::default()).unwrap();
+        conn.send(&RequestSpec::get(path, 1024)).unwrap();
+        conn
+    }
+
     fn stop(addr: &str, handle: std::thread::JoinHandle<()>) {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"POST /stop HTTP/1.1\r\nConnection: close\r\n\r\n")
             .unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 200);
+        assert_eq!(read(&mut HttpConnection::from(s)).0, 200);
         handle.join().unwrap();
     }
 
@@ -784,14 +794,8 @@ mod tests {
         )
         .unwrap();
         s.flush().unwrap();
-        let reader_stream = s.try_clone().unwrap();
-        let mut reader = BufReader::new(&reader_stream);
-        let mut bodies = Vec::new();
-        for _ in 0..3 {
-            let head = http::read_response_head(&mut reader).unwrap();
-            let body = http::read_body(&mut reader, head.content_length, 1024).unwrap();
-            bodies.push((head.status, String::from_utf8(body).unwrap()));
-        }
+        let mut conn = HttpConnection::from(s);
+        let bodies: Vec<(u16, String)> = (0..3).map(|_| read(&mut conn)).collect();
         assert_eq!(
             bodies,
             vec![
@@ -819,11 +823,7 @@ mod tests {
             .collect();
         // A well-behaved client gets served promptly regardless.
         let started = Instant::now();
-        let mut s = TcpStream::connect(&addr).unwrap();
-        s.write_all(b"GET /echo HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let (status, body) = http::read_response(&s).unwrap();
-        assert_eq!((status, body.as_str()), (200, "echo"));
+        assert_eq!(read(&mut get(&addr, "/echo")), (200, "echo".to_string()));
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "stalled connections delayed a live client by {:?}",
@@ -843,8 +843,7 @@ mod tests {
         let mut s = TcpStream::connect(&addr).unwrap();
         s.write_all(b"GET /echo HTTP/1.1\r\nX-Part").unwrap();
         s.flush().unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 408);
+        assert_eq!(read(&mut HttpConnection::from(s)).0, 408);
         // The partial request must expire on the short header clock —
         // if it sat out the 60 s idle clock instead, the deadline was
         // armed on the wrong clock.
@@ -864,8 +863,10 @@ mod tests {
         });
         let mut s = TcpStream::connect(&addr).unwrap();
         s.write_all(b"GET /echo HTTP/1.1\r\n\r\n").unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 200);
+        assert_eq!(
+            read(&mut HttpConnection::from(s.try_clone().unwrap())).0,
+            200
+        );
         // Sit idle past the deadline: the server closes (clean EOF).
         let mut probe = [0u8; 1];
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -880,28 +881,23 @@ mod tests {
             ..ReactorConfig::default()
         });
         // Two admitted keep-alive connections hold the slots.
-        let mut held: Vec<TcpStream> = (0..2)
+        let mut held: Vec<HttpConnection> = (0..2)
             .map(|_| {
-                let mut s = TcpStream::connect(&addr).unwrap();
-                s.write_all(b"GET /echo HTTP/1.1\r\n\r\n").unwrap();
-                let (status, _) = http::read_response(&s).unwrap();
-                assert_eq!(status, 200);
-                s
+                let mut conn = get(&addr, "/echo");
+                assert_eq!(read(&mut conn).0, 200);
+                conn
             })
             .collect();
         // The third arrival is told to back off, with Retry-After.
-        let over = TcpStream::connect(&addr).unwrap();
-        let reader = over.try_clone().unwrap();
-        let mut r = BufReader::new(&reader);
-        let head = http::read_response_head(&mut r).unwrap();
+        let mut over = HttpConnection::from(TcpStream::connect(&addr).unwrap());
+        let (head, _) = over.read_response(1024).unwrap();
         assert_eq!(head.status, 429);
         assert!(!head.keep_alive, "rejections must close");
         assert_eq!(toy.rejected.load(Ordering::Relaxed), 1);
         // The admitted connections still work.
-        let s = &mut held[0];
-        s.write_all(b"GET /echo HTTP/1.1\r\n\r\n").unwrap();
-        let (status, _) = http::read_response(s).unwrap();
-        assert_eq!(status, 200);
+        let conn = &mut held[0];
+        conn.send(&RequestSpec::get("/echo", 1024)).unwrap();
+        assert_eq!(read(conn).0, 200);
         drop(held);
         drop(over);
         stop(&addr, handle);
@@ -918,14 +914,30 @@ mod tests {
         drop(s);
         std::thread::sleep(Duration::from_millis(400));
         // The reactor survived the orphaned delivery and still serves.
-        let mut s = TcpStream::connect(&addr).unwrap();
-        s.write_all(b"GET /echo HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 200);
+        assert_eq!(read(&mut get(&addr, "/echo")).0, 200);
         // The orphaned request still "completed" (latency observed at
         // delivery), plus the live one: exactly 2.
         assert_eq!(toy.done.load(Ordering::Relaxed), 2);
+        stop(&addr, handle);
+    }
+
+    /// A client that disconnects mid-head or mid-body never has its
+    /// bytes dispatched as a (shorter, or empty-bodied) request.
+    #[test]
+    fn truncated_requests_are_never_dispatched() {
+        let (addr, toy, handle) = boot(ReactorConfig::default());
+        for partial in [
+            &b"GET /echo HTTP/1.1\r\n"[..],
+            b"GET /echo HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+        ] {
+            let mut s = TcpStream::connect(&addr).unwrap();
+            s.write_all(partial).unwrap();
+            s.flush().unwrap();
+            drop(s);
+        }
+        assert_eq!(read(&mut get(&addr, "/echo")), (200, "echo".to_string()));
+        // Only the complete request was handled.
+        assert_eq!(toy.done.load(Ordering::Relaxed), 1);
         stop(&addr, handle);
     }
 }

@@ -13,11 +13,59 @@
 //! the connection until the deferred fires, a test just reads the
 //! channel it wired in.
 
-use crate::http::Request;
 use crate::json;
-use httpwire::Response;
+use httpwire::{RequestHead, Response};
 use std::sync::mpsc;
 use std::sync::Arc;
+
+/// Maximum accepted body length for JSON endpoints.
+pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Maximum accepted body length for object ingest (`PUT /object/…`):
+/// checksummed containers of captured GEMM streams run far past the
+/// JSON limit at Full scale. Defined as the client-side fetch cap so
+/// the two ends of the object protocol can never drift apart — a
+/// daemon that stored objects larger than the fetch cap would force
+/// permanent recomputes fleet-wide.
+pub const MAX_OBJECT_BYTES: usize = charstore::remote::MAX_OBJECT_BYTES;
+
+/// The body limit for a routed request head: object ingest accepts
+/// full container payloads, every JSON endpoint keeps the tight cap.
+/// The reactor checks a declared `Content-Length` against it before
+/// allocating the body.
+#[must_use]
+pub fn body_limit(head: &RequestHead) -> usize {
+    if head.method == "PUT" && head.path.starts_with("/object/") {
+        MAX_OBJECT_BYTES
+    } else {
+        MAX_BODY_BYTES
+    }
+}
+
+/// A parsed request head plus its body — the value route handlers
+/// receive. Handlers never see a socket; the reactor (or a test)
+/// assembles this from parsed bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Request {
+    /// `GET` / `POST` / `PUT` / ….
+    pub method: String,
+    /// Absolute path, e.g. `/characterize`.
+    pub path: String,
+    /// Raw body bytes (empty when there was none). JSON endpoints
+    /// decode UTF-8 themselves; object endpoints take the bytes as-is.
+    pub body: Vec<u8>,
+}
+
+impl Request {
+    /// A body-less request — the common case in handler unit tests.
+    #[must_use]
+    pub fn new(method: &str, path: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            body: Vec::new(),
+        }
+    }
+}
 
 /// A route handler. `C` is the server's shared context; the
 /// [`Deferred`] is only touched by handlers that answer asynchronously.
@@ -240,6 +288,26 @@ mod tests {
                 panic!("404 must be immediate")
             };
             assert_eq!(resp.status, 404);
+        }
+    }
+
+    #[test]
+    fn head_and_body_split_lets_routes_pick_their_limit() {
+        let head = |wire: &[u8]| match httpwire::parse_request_head(wire).unwrap() {
+            httpwire::Parsed::Complete { head, .. } => head,
+            httpwire::Parsed::NeedMore => panic!("head not parsed: {wire:?}"),
+        };
+        let put = head(b"PUT /object/abc HTTP/1.1\r\nContent-Length: 4\r\n\r\nBODY");
+        assert_eq!(put.content_length, 4);
+        assert_eq!(body_limit(&put), MAX_OBJECT_BYTES);
+        // Every other route, a GET of the same path included, keeps
+        // the JSON cap.
+        for wire in [
+            &b"POST /characterize HTTP/1.1\r\n\r\n"[..],
+            b"GET /object/abc HTTP/1.1\r\n\r\n",
+            b"PUT /stats HTTP/1.1\r\n\r\n",
+        ] {
+            assert_eq!(body_limit(&head(wire)), MAX_BODY_BYTES, "{wire:?}");
         }
     }
 

@@ -38,20 +38,20 @@
 //!    tools (e.g. `charstore warm`) are honored and newly computed ones
 //!    are visible to them.
 
-use crate::http::{self, Request};
 use crate::json::{self, JsonValue};
 use crate::pool::WorkerPool;
 use crate::reactor::{Reactor, ReactorConfig, Service, RETRY_AFTER_SECS};
-use crate::router::{error_body, Deferred, Reply, Router};
+use crate::router::{self, error_body, Deferred, Reply, Request, Router};
 use crate::singleflight::{FlightBoard, Joined};
 use charstore::Digest128;
-use httpwire::Response;
+use httpwire::{RequestHead, Response};
+use obs::metrics::InstanceCounter;
 use powerpruning::cache::CharacterizationRun;
 use powerpruning::{CharCache, NetworkKind, Pipeline, PipelineConfig, Scale};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
@@ -92,66 +92,54 @@ impl Default for ServeConfig {
     }
 }
 
-/// Request-level counters exposed by `GET /stats`.
-#[derive(Debug, Default)]
+/// Request-level counters exposed by `GET /stats`. Each also feeds the
+/// process-wide `charserve_*_total` registry counter on `/metrics`;
+/// `/stats` reads this daemon's own counts, which stay exact when
+/// several daemons share a process.
+#[derive(Debug)]
 struct Stats {
     /// `POST /characterize` requests accepted.
-    requests: AtomicU64,
+    requests: InstanceCounter,
     /// Requests answered straight from a stored manifest.
-    hits: AtomicU64,
+    hits: InstanceCounter,
     /// Requests that led a computation (one per unique missing key).
-    misses: AtomicU64,
+    misses: InstanceCounter,
     /// Requests that waited on another request's computation.
-    deduped: AtomicU64,
+    deduped: InstanceCounter,
     /// `GET /object/…` requests answered with container bytes — the
     /// remote tier's hits, as seen from the serving side.
-    object_hits: AtomicU64,
+    object_hits: InstanceCounter,
     /// `GET /object/…` requests answered `404`.
-    object_misses: AtomicU64,
+    object_misses: InstanceCounter,
     /// `PUT /object/…` ingests accepted (validated and stored).
-    object_publishes: AtomicU64,
+    object_publishes: InstanceCounter,
     /// Connections turned away at the door (`429`, over
     /// [`ServeConfig::max_connections`]).
-    rejected: AtomicU64,
+    rejected: InstanceCounter,
     /// Characterize requests refused for pending-work backpressure
     /// (`429`, over [`ServeConfig::max_pending`]).
-    throttled: AtomicU64,
+    throttled: InstanceCounter,
 }
 
-/// Registry mirrors of the per-instance [`Stats`] counters, plus the
-/// request latency histogram behind `charserve_request_seconds` on
-/// `GET /metrics`. [`Stats`] stays authoritative for `/stats` — it is
-/// per-daemon (tests run several daemons in one process and assert
-/// exact values) — while the registry aggregates process-wide for the
-/// Prometheus endpoint.
-struct ServeMetrics {
-    requests: obs::metrics::Counter,
-    request_hits: obs::metrics::Counter,
-    request_misses: obs::metrics::Counter,
-    request_deduped: obs::metrics::Counter,
-    object_hits: obs::metrics::Counter,
-    object_misses: obs::metrics::Counter,
-    object_publishes: obs::metrics::Counter,
-    rejected: obs::metrics::Counter,
-    throttled: obs::metrics::Counter,
-    /// Wall time per handled request, parse to response, any route.
-    request_seconds: obs::metrics::Histogram,
+impl Stats {
+    fn new() -> Stats {
+        Stats {
+            requests: InstanceCounter::new("charserve_requests_total"),
+            hits: InstanceCounter::new("charserve_request_hits_total"),
+            misses: InstanceCounter::new("charserve_request_misses_total"),
+            deduped: InstanceCounter::new("charserve_request_deduped_total"),
+            object_hits: InstanceCounter::new("charserve_object_hits_total"),
+            object_misses: InstanceCounter::new("charserve_object_misses_total"),
+            object_publishes: InstanceCounter::new("charserve_object_publishes_total"),
+            rejected: InstanceCounter::new("charserve_rejected_total"),
+            throttled: InstanceCounter::new("charserve_throttled_total"),
+        }
+    }
 }
 
-static METRICS: LazyLock<ServeMetrics> = LazyLock::new(|| ServeMetrics {
-    requests: obs::metrics::counter("charserve_requests_total"),
-    request_hits: obs::metrics::counter("charserve_request_hits_total"),
-    request_misses: obs::metrics::counter("charserve_request_misses_total"),
-    request_deduped: obs::metrics::counter("charserve_request_deduped_total"),
-    object_hits: obs::metrics::counter("charserve_object_hits_total"),
-    object_misses: obs::metrics::counter("charserve_object_misses_total"),
-    object_publishes: obs::metrics::counter("charserve_object_publishes_total"),
-    rejected: obs::metrics::counter("charserve_rejected_total"),
-    throttled: obs::metrics::counter("charserve_throttled_total"),
-    request_seconds: obs::metrics::histogram(
-        "charserve_request_seconds",
-        obs::metrics::LATENCY_SECONDS,
-    ),
+/// Wall time per handled request, parse to response, any route.
+static REQUEST_SECONDS: LazyLock<obs::metrics::Histogram> = LazyLock::new(|| {
+    obs::metrics::histogram("charserve_request_seconds", obs::metrics::LATENCY_SECONDS)
 });
 
 /// The daemon's shared context — everything a route handler can reach.
@@ -194,9 +182,10 @@ impl Server {
     pub fn bind(cfg: &ServeConfig) -> io::Result<Server> {
         // Eager registration: an idle daemon's `GET /metrics` must
         // already expose the full counter set at zero, including the
-        // simulator counters no request has touched yet. The store's
-        // own metrics register when `CharCache::open` builds it.
-        LazyLock::force(&METRICS);
+        // simulator counters no request has touched yet. The request
+        // counters register with `Stats::new` below and the store's
+        // when `CharCache::open` builds it.
+        LazyLock::force(&REQUEST_SECONDS);
         gatesim::register_metrics();
         let cache = Arc::new(CharCache::open(&cfg.store_dir)?);
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -216,7 +205,7 @@ impl Server {
                 cache,
                 flights: FlightBoard::new(),
                 pool: WorkerPool::new(cfg.workers),
-                stats: Stats::default(),
+                stats: Stats::new(),
                 shutdown: AtomicBool::new(false),
                 addr,
                 store_dir: cfg.store_dir.display().to_string(),
@@ -268,8 +257,8 @@ struct ServeService {
 }
 
 impl Service for ServeService {
-    fn body_limit(&self, head: &http::Head) -> usize {
-        http::body_limit(head)
+    fn body_limit(&self, head: &RequestHead) -> usize {
+        router::body_limit(head)
     }
 
     fn handle(&self, request: &Request, deferred: &Deferred) -> Reply {
@@ -281,12 +270,11 @@ impl Service for ServeService {
     }
 
     fn on_rejected(&self) {
-        self.ctx.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        METRICS.rejected.inc();
+        self.ctx.stats.rejected.inc();
     }
 
     fn on_request_done(&self, elapsed: Duration) {
-        METRICS.request_seconds.observe_duration(elapsed);
+        REQUEST_SECONDS.observe_duration(elapsed);
     }
 }
 
@@ -364,15 +352,15 @@ fn render_stats(ctx: &Ctx) -> String {
             "  \"store\": {{\"mem_hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"puts\": {}}}\n",
             "}}\n"
         ),
-        s.requests.load(Ordering::Relaxed),
-        s.hits.load(Ordering::Relaxed),
-        s.misses.load(Ordering::Relaxed),
-        s.deduped.load(Ordering::Relaxed),
-        s.object_hits.load(Ordering::Relaxed),
-        s.object_misses.load(Ordering::Relaxed),
-        s.object_publishes.load(Ordering::Relaxed),
-        s.rejected.load(Ordering::Relaxed),
-        s.throttled.load(Ordering::Relaxed),
+        s.requests.get(),
+        s.hits.get(),
+        s.misses.get(),
+        s.deduped.get(),
+        s.object_hits.get(),
+        s.object_misses.get(),
+        s.object_publishes.get(),
+        s.rejected.get(),
+        s.throttled.get(),
         obs::metrics::counter_value("charcache_retrain_hits_total").unwrap_or(0),
         obs::metrics::counter_value("charcache_retrain_misses_total").unwrap_or(0),
         ctx.flights.inflight(),
@@ -404,13 +392,11 @@ fn handle_object_get(ctx: &Arc<Ctx>, request: &Request, _deferred: &Deferred) ->
     };
     Reply::Now(match ctx.cache.store().get_encoded(key) {
         Some(bytes) => {
-            ctx.stats.object_hits.fetch_add(1, Ordering::Relaxed);
-            METRICS.object_hits.inc();
+            ctx.stats.object_hits.inc();
             Response::bytes(200, "application/octet-stream", bytes)
         }
         None => {
-            ctx.stats.object_misses.fetch_add(1, Ordering::Relaxed);
-            METRICS.object_misses.inc();
+            ctx.stats.object_misses.inc();
             Response::json(404, error_body(&format!("no object {key}")))
         }
     })
@@ -432,8 +418,7 @@ fn handle_object_put(ctx: &Arc<Ctx>, request: &Request, _deferred: &Deferred) ->
     // already in hand. A failed validation is the client's fault.
     Reply::Now(match ctx.cache.store().put_encoded(key, &request.body) {
         Ok(()) => {
-            ctx.stats.object_publishes.fetch_add(1, Ordering::Relaxed);
-            METRICS.object_publishes.inc();
+            ctx.stats.object_publishes.inc();
             Response::json(200, "{\"status\": \"stored\"}\n")
         }
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -554,14 +539,12 @@ fn handle_characterize(ctx: &Arc<Ctx>, request: &Request, deferred: &Deferred) -
         Ok(parsed) => parsed,
         Err(e) => return Reply::Now(Response::json(400, error_body(&e))),
     };
-    ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-    METRICS.requests.inc();
+    ctx.stats.requests.inc();
     let key = powerpruning::cache::request_key(&cfg, kind);
 
     // 1. Store hit: a stored manifest answers without any pipeline.
     if let Some(manifest) = ctx.cache.lookup_manifest(key) {
-        ctx.stats.hits.fetch_add(1, Ordering::Relaxed);
-        METRICS.request_hits.inc();
+        ctx.stats.hits.inc();
         let run = CharacterizationRun {
             request_key: key,
             manifest,
@@ -577,8 +560,7 @@ fn handle_characterize(ctx: &Arc<Ctx>, request: &Request, deferred: &Deferred) -
     //    always admitted. Only the reactor thread creates flights, so
     //    the contains/join pair cannot race with another admitter.
     if !ctx.flights.contains(key) && ctx.flights.inflight() >= ctx.max_pending {
-        ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-        METRICS.throttled.inc();
+        ctx.stats.throttled.inc();
         return Reply::Now(Response::too_many_requests(
             RETRY_AFTER_SECS,
             error_body("server is at its pending-computation limit, try again shortly"),
@@ -601,8 +583,7 @@ fn handle_characterize(ctx: &Arc<Ctx>, request: &Request, deferred: &Deferred) -
     });
     match role {
         Joined::Leader => {
-            ctx.stats.misses.fetch_add(1, Ordering::Relaxed);
-            METRICS.request_misses.inc();
+            ctx.stats.misses.inc();
             // The worker re-runs the same code path the standalone
             // pipeline uses; stage-level warm artifacts still hit.
             // The request's trace re-enters scope on the pool thread,
@@ -636,8 +617,7 @@ fn handle_characterize(ctx: &Arc<Ctx>, request: &Request, deferred: &Deferred) -
             }
         }
         Joined::Waiter => {
-            ctx.stats.deduped.fetch_add(1, Ordering::Relaxed);
-            METRICS.request_deduped.inc();
+            ctx.stats.deduped.inc();
         }
     }
     Reply::Later
@@ -648,8 +628,16 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use charstore::{container, digest_bytes, RemoteTier, Section};
+    use httpwire::{ClientConfig, HttpConnection, RequestSpec};
     use std::io::{Read, Write};
     use std::net::TcpStream;
+    use std::sync::atomic::AtomicU64;
+
+    /// Reads one response: `(status, body)`.
+    fn read(conn: &mut HttpConnection) -> (u16, String) {
+        let (head, body) = conn.read_response(router::MAX_BODY_BYTES).unwrap();
+        (head.status, String::from_utf8(body).unwrap())
+    }
 
     fn u64_field(v: &JsonValue, name: &str) -> u64 {
         v.get(name)
@@ -811,8 +799,7 @@ mod tests {
         let mut s = TcpStream::connect(&addr).unwrap();
         s.write_all(b"GET /object/nothex HTTP/1.1\r\n\r\n").unwrap();
         s.flush().unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 400);
+        assert_eq!(read(&mut HttpConnection::from(s)).0, 400);
 
         // An oversized declared body is a 413 — rejected before any
         // allocation, even on the object route's generous limit.
@@ -820,28 +807,26 @@ mod tests {
         s.write_all(
             format!(
                 "PUT /object/{key} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                http::MAX_OBJECT_BYTES + 1
+                router::MAX_OBJECT_BYTES + 1
             )
             .as_bytes(),
         )
         .unwrap();
         s.flush().unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 413);
+        assert_eq!(read(&mut HttpConnection::from(s)).0, 413);
         // …while the same declaration on a JSON route also 413s at the
         // much lower JSON cap.
         let mut s = TcpStream::connect(&addr).unwrap();
         s.write_all(
             format!(
                 "POST /characterize HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                http::MAX_BODY_BYTES + 1
+                router::MAX_BODY_BYTES + 1
             )
             .as_bytes(),
         )
         .unwrap();
         s.flush().unwrap();
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 413);
+        assert_eq!(read(&mut HttpConnection::from(s)).0, 413);
 
         let stats = json::parse(&client.stats().unwrap()).unwrap();
         assert_eq!(u64_field(&stats, "object_hits"), 1);
@@ -866,18 +851,18 @@ mod tests {
         )
         .unwrap();
         s.flush().unwrap();
-        let (status, body) = http::read_response(&s).unwrap();
+        let mut conn = HttpConnection::from(s);
+        let (status, body) = read(&mut conn);
         assert_eq!(status, 200);
         assert!(body.contains("\"status\": \"ok\""), "not healthz: {body}");
-        let (status, _) = http::read_response(&s).unwrap();
-        assert_eq!(status, 404);
-        let (status, body) = http::read_response(&s).unwrap();
+        assert_eq!(read(&mut conn).0, 404);
+        let (status, body) = read(&mut conn);
         assert_eq!(status, 200);
         assert!(
             body.contains("\"service\": \"charserve\""),
             "not stats: {body}"
         );
-        drop(s);
+        drop(conn);
 
         let client = Client::new(&addr);
         client.shutdown().expect("shutdown");
@@ -928,10 +913,10 @@ mod tests {
         let (dir, addr, daemon) = boot_with(|cfg| cfg.max_connections = 1);
 
         // Fill the one slot with a live keep-alive connection.
-        let mut held = TcpStream::connect(&addr).unwrap();
-        held.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-        let (status, _) = http::read_response(&held).unwrap();
-        assert_eq!(status, 200);
+        let mut held = HttpConnection::connect(&addr, &ClientConfig::default()).unwrap();
+        held.send(&RequestSpec::get("/healthz", router::MAX_BODY_BYTES))
+            .unwrap();
+        assert_eq!(read(&mut held).0, 200);
 
         // The next arrival is told to back off…
         let mut over = TcpStream::connect(&addr).unwrap();
@@ -943,8 +928,9 @@ mod tests {
         );
 
         // …while the admitted connection still answers, and counts it.
-        held.write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
-        let (status, body) = http::read_response(&held).unwrap();
+        held.send(&RequestSpec::get("/stats", router::MAX_BODY_BYTES))
+            .unwrap();
+        let (status, body) = read(&mut held);
         assert_eq!(status, 200);
         let stats = json::parse(&body).unwrap();
         assert_eq!(u64_field(&stats, "rejected"), 1);

@@ -45,4 +45,4 @@ pub mod wire;
 pub use container::{Section, FORMAT_VERSION};
 pub use digest::{digest_bytes, Digest128, Hasher128};
 pub use remote::RemoteTier;
-pub use store::{register_metrics, EntryInfo, GcReport, Store, StoreCounters, VerifyReport};
+pub use store::{EntryInfo, GcReport, Store, StoreCounters, VerifyReport};

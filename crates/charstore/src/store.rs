@@ -42,6 +42,7 @@
 use crate::container::{self, Section};
 use crate::digest::Digest128;
 use crate::remote::RemoteTier;
+use obs::metrics::InstanceCounter;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -50,34 +51,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Process-global registry mirrors of the per-instance
-/// [`StoreCounters`], plus tier latency histograms. The per-instance
-/// atomics stay authoritative for `Store::counters()` (tests and the
-/// daemon's `/stats` rely on instance-local exactness); these mirrors
-/// aggregate across every store in the process for `/metrics`.
+/// Tier latency histograms, aggregated over every store in the
+/// process. The hit/miss counts are [`InstanceCounter`]s on each
+/// [`Store`].
 struct StoreMetrics {
-    mem_hits: obs::metrics::Counter,
-    disk_hits: obs::metrics::Counter,
-    misses: obs::metrics::Counter,
-    puts: obs::metrics::Counter,
-    remote_hits: obs::metrics::Counter,
-    remote_misses: obs::metrics::Counter,
-    remote_publishes: obs::metrics::Counter,
-    remote_errors: obs::metrics::Counter,
     get_seconds: obs::metrics::Histogram,
     put_seconds: obs::metrics::Histogram,
     remote_fetch_seconds: obs::metrics::Histogram,
 }
 
 static METRICS: LazyLock<StoreMetrics> = LazyLock::new(|| StoreMetrics {
-    mem_hits: obs::metrics::counter("charstore_mem_hits_total"),
-    disk_hits: obs::metrics::counter("charstore_disk_hits_total"),
-    misses: obs::metrics::counter("charstore_misses_total"),
-    puts: obs::metrics::counter("charstore_puts_total"),
-    remote_hits: obs::metrics::counter("charstore_remote_hits_total"),
-    remote_misses: obs::metrics::counter("charstore_remote_misses_total"),
-    remote_publishes: obs::metrics::counter("charstore_remote_publishes_total"),
-    remote_errors: obs::metrics::counter("charstore_remote_errors_total"),
     get_seconds: obs::metrics::histogram("charstore_get_seconds", obs::metrics::LATENCY_SECONDS),
     put_seconds: obs::metrics::histogram("charstore_put_seconds", obs::metrics::LATENCY_SECONDS),
     remote_fetch_seconds: obs::metrics::histogram(
@@ -85,15 +68,6 @@ static METRICS: LazyLock<StoreMetrics> = LazyLock::new(|| StoreMetrics {
         obs::metrics::LATENCY_SECONDS,
     ),
 });
-
-/// Forces registration of every `charstore_*` metric so it renders in
-/// Prometheus exposition (at zero) before any store traffic. Called on
-/// [`Store`] construction: a daemon that has served nothing — and whose
-/// remote hits all happen in *client* processes — still exposes the
-/// full counter set.
-pub fn register_metrics() {
-    LazyLock::force(&METRICS);
-}
 
 /// Default in-memory tier budget: plenty for a full Mini-scale
 /// characterization set while staying irrelevant next to the pipeline's
@@ -257,14 +231,14 @@ pub struct Store {
     remote: Option<RemoteTier>,
     /// End of the current remote-failure backoff window, if one is open.
     remote_retry_after: Mutex<Option<Instant>>,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    remote_hits: AtomicU64,
-    remote_misses: AtomicU64,
-    remote_publishes: AtomicU64,
-    remote_errors: AtomicU64,
+    mem_hits: InstanceCounter,
+    disk_hits: InstanceCounter,
+    misses: InstanceCounter,
+    puts: InstanceCounter,
+    remote_hits: InstanceCounter,
+    remote_misses: InstanceCounter,
+    remote_publishes: InstanceCounter,
+    remote_errors: InstanceCounter,
 }
 
 impl Store {
@@ -284,7 +258,11 @@ impl Store {
     ///
     /// Returns any I/O error from creating the directory layout.
     pub fn with_mem_budget(root: impl Into<PathBuf>, mem_budget: usize) -> io::Result<Store> {
-        register_metrics();
+        // Every `charstore_*` family registers here, so it renders at
+        // zero on `/metrics` before any store traffic: a daemon whose
+        // remote hits all happen in client processes still exposes
+        // the full set.
+        LazyLock::force(&METRICS);
         let root = root.into();
         fs::create_dir_all(root.join("objects"))?;
         Ok(Store {
@@ -293,14 +271,14 @@ impl Store {
             mem: Mutex::new(MemTier::default()),
             remote: None,
             remote_retry_after: Mutex::new(None),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
-            remote_misses: AtomicU64::new(0),
-            remote_publishes: AtomicU64::new(0),
-            remote_errors: AtomicU64::new(0),
+            mem_hits: InstanceCounter::new("charstore_mem_hits_total"),
+            disk_hits: InstanceCounter::new("charstore_disk_hits_total"),
+            misses: InstanceCounter::new("charstore_misses_total"),
+            puts: InstanceCounter::new("charstore_puts_total"),
+            remote_hits: InstanceCounter::new("charstore_remote_hits_total"),
+            remote_misses: InstanceCounter::new("charstore_remote_misses_total"),
+            remote_publishes: InstanceCounter::new("charstore_remote_publishes_total"),
+            remote_errors: InstanceCounter::new("charstore_remote_errors_total"),
         })
     }
 
@@ -334,14 +312,14 @@ impl Store {
     #[must_use]
     pub fn counters(&self) -> StoreCounters {
         StoreCounters {
-            mem_hits: self.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            remote_hits: self.remote_hits.load(Ordering::Relaxed),
-            remote_misses: self.remote_misses.load(Ordering::Relaxed),
-            remote_publishes: self.remote_publishes.load(Ordering::Relaxed),
-            remote_errors: self.remote_errors.load(Ordering::Relaxed),
+            mem_hits: self.mem_hits.get(),
+            disk_hits: self.disk_hits.get(),
+            misses: self.misses.get(),
+            puts: self.puts.get(),
+            remote_hits: self.remote_hits.get(),
+            remote_misses: self.remote_misses.get(),
+            remote_publishes: self.remote_publishes.get(),
+            remote_errors: self.remote_errors.get(),
         }
     }
 
@@ -390,8 +368,7 @@ impl Store {
 
     fn get_inner(&self, key: Digest128) -> Option<Arc<Vec<Section>>> {
         if let Some(hit) = self.mem.lock().expect("mem tier poisoned").touch(&key) {
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            METRICS.mem_hits.inc();
+            self.mem_hits.inc();
             return Some(hit);
         }
         let loaded = (|| -> io::Result<Arc<Vec<Section>>> {
@@ -436,8 +413,7 @@ impl Store {
         })();
         match loaded {
             Ok(sections) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                METRICS.disk_hits.inc();
+                self.disk_hits.inc();
                 self.mem.lock().expect("mem tier poisoned").insert(
                     key,
                     Arc::clone(&sections),
@@ -449,8 +425,7 @@ impl Store {
                 if let Some(sections) = self.fetch_remote(key) {
                     return Some(sections);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                METRICS.misses.inc();
+                self.misses.inc();
                 None
             }
         }
@@ -465,8 +440,7 @@ impl Store {
             Some(until) if Instant::now() < until
         );
         if backed_off {
-            self.remote_errors.fetch_add(1, Ordering::Relaxed);
-            METRICS.remote_errors.inc();
+            self.remote_errors.inc();
         }
         backed_off
     }
@@ -474,8 +448,7 @@ impl Store {
     /// Records a remote transport failure: bump the counter and open
     /// (or extend) the backoff window.
     fn remote_failed(&self) {
-        self.remote_errors.fetch_add(1, Ordering::Relaxed);
-        METRICS.remote_errors.inc();
+        self.remote_errors.inc();
         *self.remote_retry_after.lock().expect("backoff poisoned") =
             Some(Instant::now() + REMOTE_BACKOFF);
     }
@@ -508,8 +481,7 @@ impl Store {
             }
             Ok(None) => {
                 self.remote_recovered();
-                self.remote_misses.fetch_add(1, Ordering::Relaxed);
-                METRICS.remote_misses.inc();
+                self.remote_misses.inc();
                 return None;
             }
             Err(_) => {
@@ -521,12 +493,10 @@ impl Store {
         // flipped byte anywhere on the wire (or on the daemon's disk)
         // degrades to a miss exactly like local disk corruption.
         let Ok(sections) = container::decode(&bytes) else {
-            self.remote_misses.fetch_add(1, Ordering::Relaxed);
-            METRICS.remote_misses.inc();
+            self.remote_misses.inc();
             return None;
         };
-        self.remote_hits.fetch_add(1, Ordering::Relaxed);
-        METRICS.remote_hits.inc();
+        self.remote_hits.inc();
         // Populate the local disk tier with the already-validated bytes
         // (best-effort: a full disk only costs the next lookup a
         // re-fetch), then promote to memory.
@@ -650,8 +620,7 @@ impl Store {
         let put_started = Instant::now();
         self.write_encoded(key, encoded)?;
         METRICS.put_seconds.observe_duration(put_started.elapsed());
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        METRICS.puts.inc();
+        self.puts.inc();
         self.mem.lock().expect("mem tier poisoned").insert(
             key,
             Arc::new(sections),
@@ -662,8 +631,7 @@ impl Store {
                 match remote.publish(key, encoded) {
                     Ok(()) => {
                         self.remote_recovered();
-                        self.remote_publishes.fetch_add(1, Ordering::Relaxed);
-                        METRICS.remote_publishes.inc();
+                        self.remote_publishes.inc();
                     }
                     Err(_) => {
                         self.remote_failed();

@@ -17,24 +17,17 @@
 //! One relaxed atomic add per transition is noise next to the hundreds
 //! of gate events each transition propagates.
 //!
-//! Every count is *mirrored* into the process-global [`obs`] metrics
-//! registry (`gatesim_*` names) for the daemon's `/metrics` endpoint
-//! and the CLI tables. The local atomic stays authoritative on
-//! purpose: `sim_transitions()` backs the warm-cache "zero gate-level
-//! work" *correctness* assertions, which must keep counting even when
-//! the bench harness flips `obs::set_enabled(false)` to measure
-//! registry overhead. The per-transition event totals (scheduled vs.
-//! push-time-filtered) and the settle-time histogram live only on the
-//! registry — they are observability, not contract.
+//! Every count lives in the process-global [`obs`] metrics registry
+//! (`gatesim_*` names), which the daemon's `/metrics` endpoint and the
+//! CLI tables render. [`sim_transitions`] reads the same
+//! `gatesim_sim_transitions_total` cell, so the warm-cache "zero
+//! gate-level work" assertions and `/metrics` cannot disagree.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 
 use obs::metrics::{counter, histogram, Counter, Histogram, LATENCY_SECONDS, SETTLE_PS};
 
-static SIM_TRANSITIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Registry mirrors, registered once on first gate-level activity.
+/// The `gatesim_*` metrics, registered on first gate-level activity.
 struct Registry {
     transitions: Counter,
     events_scheduled: Counter,
@@ -63,13 +56,12 @@ pub fn register_metrics() {
 /// both the scalar and the batched engine.
 #[must_use]
 pub fn sim_transitions() -> u64 {
-    SIM_TRANSITIONS.load(Ordering::Relaxed)
+    REGISTRY.transitions.get()
 }
 
 /// Records one simulated transition (crate-internal).
 #[inline]
 pub(crate) fn record_transition() {
-    SIM_TRANSITIONS.fetch_add(1, Ordering::Relaxed);
     REGISTRY.transitions.inc();
 }
 
@@ -77,7 +69,6 @@ pub(crate) fn record_transition() {
 /// counts one per *active lane*, not one per word (crate-internal).
 #[inline]
 pub(crate) fn record_transitions(n: u64) {
-    SIM_TRANSITIONS.fetch_add(n, Ordering::Relaxed);
     REGISTRY.transitions.add(n);
 }
 

@@ -229,6 +229,18 @@ impl HttpConnection {
     }
 }
 
+/// Wraps an already-connected stream as it is, with no timeouts or
+/// socket options applied. Tests that write raw bytes to a server read
+/// its replies through this.
+impl From<TcpStream> for HttpConnection {
+    fn from(stream: TcpStream) -> HttpConnection {
+        HttpConnection {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+}
+
 /// A cloneable keep-alive HTTP client for one address.
 ///
 /// Clones share the idle-connection pool, so a `Store` handing its
@@ -426,6 +438,26 @@ mod tests {
         assert_eq!(client.idle_connections(), 1);
         let second = client.send(&RequestSpec::get("/b", 1024)).expect("retry");
         assert_eq!(second.body, b"{\"turn\": 1}");
+        handle.join().expect("server");
+    }
+
+    /// Two pipelined responses arriving in one write read back in
+    /// order, each call consuming exactly one response's bytes.
+    #[test]
+    fn read_response_consumes_exactly_one_pipelined_response() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let handle = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut wire = crate::Response::json(200, "first").encode(true, None);
+            wire.extend_from_slice(&crate::Response::json(404, "second").encode(false, None));
+            stream.write_all(&wire).expect("write");
+        });
+        let mut conn = HttpConnection::from(TcpStream::connect(addr).expect("connect"));
+        let (head, body) = conn.read_response(1024).expect("first");
+        assert_eq!((head.status, body.as_slice()), (200, &b"first"[..]));
+        let (head, body) = conn.read_response(1024).expect("second");
+        assert_eq!((head.status, body.as_slice()), (404, &b"second"[..]));
         handle.join().expect("server");
     }
 

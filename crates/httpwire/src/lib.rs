@@ -483,9 +483,11 @@ mod tests {
         // Unsupported version.
         assert!(parse_request_head(b"GET / HTTP/2\r\n\r\n").is_err());
         // Bad Content-Length values: garbage, negative, overflow.
+        // These are malformed (400), not honest-but-oversized (413).
         for bad in ["junk", "-5", "99999999999999999999999999"] {
             let wire = format!("GET / HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
-            assert!(parse_request_head(wire.as_bytes()).is_err(), "{bad}");
+            let err = parse_request_head(wire.as_bytes()).expect_err(bad);
+            assert!(!is_too_large(&err), "{bad} misclassified as 413");
         }
         // Leading blank line.
         assert!(parse_request_head(b"\r\nGET / HTTP/1.1\r\n\r\n").is_err());

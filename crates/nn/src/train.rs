@@ -5,23 +5,17 @@ use crate::loss::{accuracy, cross_entropy};
 use crate::model::Network;
 use crate::optim::Sgd;
 use rand::rngs::StdRng;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 
-/// Process-wide count of training epochs executed by [`train`].
+/// Process-wide count of training epochs executed by [`train`]
+/// (`nn_training_epochs_total` on `/metrics`).
 ///
 /// This is the warm-start cache's observable for "a warmed run performs
 /// zero training": tests, the `charstore warm` CLI and the
 /// characterization bench snapshot [`epochs_run`] around a pipeline run
 /// and assert the delta is zero when the baseline artifact is served
-/// from the store.
-///
-/// The local atomic stays authoritative (it must keep counting even
-/// when the bench disables the metrics registry to measure overhead);
-/// each bump is mirrored onto `nn_training_epochs_total` for
-/// `/metrics`, alongside a wall-clock per-epoch histogram.
-static EPOCHS_RUN: AtomicU64 = AtomicU64::new(0);
-
+/// from the store. [`epochs_run`] reads this same registry cell, so the
+/// contract and `/metrics` cannot disagree.
 static EPOCHS_METRIC: LazyLock<obs::metrics::Counter> =
     LazyLock::new(|| obs::metrics::counter("nn_training_epochs_total"));
 
@@ -33,7 +27,7 @@ static EPOCH_SECONDS: LazyLock<obs::metrics::Histogram> = LazyLock::new(|| {
 /// snapshot-and-subtract to measure a window).
 #[must_use]
 pub fn epochs_run() -> u64 {
-    EPOCHS_RUN.load(Ordering::Relaxed)
+    EPOCHS_METRIC.get()
 }
 
 /// Training hyperparameters.
@@ -138,7 +132,6 @@ pub fn train_with_hook(
     let mut opt = Sgd::new(config.lr, config.momentum, config.weight_decay);
     let mut history = Vec::with_capacity(config.epochs);
     for epoch in 0..config.epochs {
-        EPOCHS_RUN.fetch_add(1, Ordering::Relaxed);
         EPOCHS_METRIC.inc();
         let epoch_started = std::time::Instant::now();
         let mut _epoch_span = obs::span("nn_train_epoch");

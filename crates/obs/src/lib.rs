@@ -18,35 +18,16 @@
 //!   `POWERPRUNING_LOG` env knob (`off | error | info | debug`), with
 //!   the current trace ID woven into every line.
 //!
-//! A single process-wide switch ([`set_enabled`]) turns every metric
-//! update and span record into a no-op — the characterization bench
-//! uses it to prove the registry's hot-loop overhead stays under its
-//! budget. Correctness-coupled accounting (the warm-cache "zero
-//! transitions / zero epochs" counters) must therefore snapshot only
-//! while recording is enabled; nothing in the production tree ever
-//! disables it.
+//! Every update lands, so each count has one source of truth: its
+//! registry cell. A count that must also be read per instance (one
+//! store, one daemon, when several share a test process) is a
+//! [`metrics::InstanceCounter`], which bumps its own cell and the
+//! registry counter of the same name in one call. Hot loops keep local
+//! tallies and flush them once per unit of work, which bounds what the
+//! registry costs them.
 
 pub mod log;
 pub mod metrics;
 pub mod trace;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether metric updates and span recording are currently enabled.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables metric updates and span recording.
-///
-/// Bench-harness use only: the no-op path exists so overhead can be
-/// *measured*, not so production code can opt out. Registered metrics
-/// stay readable either way; they just stop moving while disabled.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 pub use trace::{current_trace, span, with_trace, SpanGuard, TraceId};

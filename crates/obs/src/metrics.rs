@@ -54,12 +54,10 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Adds `n` (no-op while [`crate::enabled`] is off).
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -75,6 +73,52 @@ impl Counter {
     }
 }
 
+/// A count kept per instance (one store, one daemon) that also feeds
+/// the process-wide registry counter of the same name. [`Self::inc`]
+/// and [`Self::add`] bump both in one call; [`Self::get`] reads the
+/// instance's own count, which stays exact when several instances
+/// share a process.
+#[derive(Debug)]
+pub struct InstanceCounter {
+    local: AtomicU64,
+    total: Counter,
+}
+
+impl InstanceCounter {
+    /// A zeroed instance count feeding the registry counter `name`.
+    ///
+    /// # Panics
+    ///
+    /// As [`counter`]: on an invalid name, or if `name` is already
+    /// registered as a different metric kind.
+    #[must_use]
+    pub fn new(name: &'static str) -> InstanceCounter {
+        InstanceCounter {
+            local: AtomicU64::new(0),
+            total: counter(name),
+        }
+    }
+
+    /// Adds `n` to this instance and to the registry counter.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.local.fetch_add(n, Ordering::Relaxed);
+        self.total.add(n);
+    }
+
+    /// Adds 1.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// This instance's count.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.local.load(Ordering::Relaxed)
+    }
+}
+
 /// A registered gauge: a settable signed value (queue depths, inflight
 /// requests).
 #[derive(Debug, Clone, Copy)]
@@ -83,20 +127,16 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Sets the gauge (no-op while [`crate::enabled`] is off).
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        if crate::enabled() {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if crate::enabled() {
-            self.cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -127,11 +167,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Records one observation (no-op while [`crate::enabled`] is off).
+    /// Records one observation.
     pub fn observe(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let idx = self
             .core
             .bounds
@@ -446,6 +483,28 @@ mod tests {
     }
 
     #[test]
+    fn instance_counters_are_exact_and_sum_into_the_registry() {
+        let a = InstanceCounter::new("obs_test_instance_total");
+        let b = InstanceCounter::new("obs_test_instance_total");
+        let before = counter_value("obs_test_instance_total").expect("registered");
+        a.add(3);
+        b.inc();
+        a.inc();
+        assert_eq!((a.get(), b.get()), (4, 1));
+        assert_eq!(
+            counter_value("obs_test_instance_total").expect("registered") - before,
+            5
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn instance_counter_kind_conflicts_panic() {
+        let _ = histogram("obs_test_instance_conflict", &[1.0]);
+        let _ = InstanceCounter::new("obs_test_instance_conflict");
+    }
+
+    #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_panic() {
         let _ = counter("not a metric name");
@@ -539,20 +598,5 @@ mod tests {
         assert!(text.contains("obs_test_expo_seconds_bucket{le=\"1.5\"} 2"));
         assert!(text.contains("obs_test_expo_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("obs_test_expo_seconds_count 3"));
-    }
-
-    #[test]
-    fn disabled_registry_is_a_no_op() {
-        let c = counter("obs_test_disabled_total");
-        let h = histogram("obs_test_disabled_seconds", &[1.0]);
-        let before = c.get();
-        crate::set_enabled(false);
-        c.add(10);
-        h.observe(0.5);
-        crate::set_enabled(true);
-        assert_eq!(c.get(), before);
-        assert_eq!(h.count(), 0);
-        c.inc();
-        assert_eq!(c.get(), before + 1);
     }
 }
