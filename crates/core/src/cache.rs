@@ -42,8 +42,9 @@
 //!
 //! A key hit is provably the same computation, so a warmed store lets a
 //! second pipeline run skip baseline training entirely (zero epochs,
-//! observable via `nn::train::epochs_run`) and every `BatchSim`
-//! settle/transition round-trip (zero transitions, observable via
+//! observable via `nn::train::epochs_run`) and every gate-level
+//! settle/transition round-trip, on `BitSim` for power and `BatchSim`
+//! for timing (zero transitions, observable via
 //! `gatesim::sim_transitions`). Decode failures (corruption, version
 //! skew) degrade to a miss and the artifact is recomputed and
 //! rewritten.

@@ -166,8 +166,8 @@ fn capture_uncached(ctx: &PipelineCtx<'_>, prepared: &mut Prepared) -> Vec<GemmC
 }
 
 /// Statistics collection + per-weight power characterization from
-/// captured GEMMs (paper Figs. 2 and 4), batched on
-/// [`gatesim::BatchSim`].
+/// captured GEMMs (paper Figs. 2 and 4), bit-parallel on
+/// [`gatesim::BitSim`] (64 stimulus vectors per word).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CharacterizeStage;
 
@@ -181,7 +181,7 @@ impl Stage<&[GemmCapture]> for CharacterizeStage {
     fn run(&self, ctx: &PipelineCtx<'_>, captures: &[GemmCapture]) -> Characterization {
         // The whole artifact (statistics included) is a pure function
         // of the hashed inputs, so a warmed store skips the systolic
-        // stats pass *and* every BatchSim settle/transition round-trip.
+        // stats pass *and* every BitSim settle/transition sweep.
         // Key derivation hashes every captured code stream, so it only
         // runs when a cache is actually attached.
         let Some(cache) = ctx.cache else {

@@ -2,8 +2,8 @@
 //!
 //! The warm-start cache's contract is "a warmed run performs zero
 //! gate-level work". That claim needs an observable: every
-//! [`crate::Simulator::transition`] and [`crate::BatchSim::transition`]
-//! bumps a global counter, so tests, the `charstore warm` CLI and the
+//! [`crate::Simulator::transition`], [`crate::BatchSim::transition`]
+//! and [`crate::BitSim::transition`] bumps a global counter, so tests, the `charstore warm` CLI and the
 //! characterization bench can assert that a cache-served pipeline run
 //! triggered *no* simulation at all — not just that it was fast.
 //!
@@ -53,7 +53,8 @@ pub fn register_metrics() {
 }
 
 /// Total gate-level transitions simulated by this process so far, over
-/// both the scalar and the batched engine.
+/// all three engines: scalar, batched and bit-parallel (one per active
+/// `BitSim` lane).
 #[must_use]
 pub fn sim_transitions() -> u64 {
     REGISTRY.transitions.get()

@@ -34,17 +34,30 @@ impl QuantReLU {
 }
 
 impl Layer for QuantReLU {
+    /// Clips, records the gradient mask (training) and fake-quantizes
+    /// (quantizing context) in one pass over the input.
     fn forward(&mut self, input: &Tensor, ctx: &mut Context) -> Tensor {
         let range = self.quant.range;
-        if ctx.training {
-            self.mask = input.data().iter().map(|&v| v > 0.0 && v < range).collect();
-        }
-        let clipped = input.map(|v| v.clamp(0.0, range));
-        if ctx.quantize {
-            self.quant.quantize(&clipped).dequant
+        let fake_quant = ctx.quantize.then(|| self.quant.fake_quantizer());
+        let activate = |v: f32| {
+            let clipped = v.clamp(0.0, range);
+            fake_quant.as_ref().map_or(clipped, |q| q(clipped))
+        };
+        let out = if ctx.training {
+            self.mask.resize(input.len(), false);
+            input
+                .data()
+                .iter()
+                .zip(&mut self.mask)
+                .map(|(&v, m)| {
+                    *m = v > 0.0 && v < range;
+                    activate(v)
+                })
+                .collect()
         } else {
-            clipped
-        }
+            input.data().iter().map(|&v| activate(v)).collect()
+        };
+        Tensor::from_vec(input.shape(), out)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -6,6 +6,7 @@ use crate::linalg::{matmul, matmul_nt, matmul_tn};
 use crate::quant::WeightQuantizer;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
+use std::ops::Range;
 
 /// 2-D convolution layer over NCHW tensors.
 ///
@@ -101,6 +102,20 @@ impl Conv2d {
         )
     }
 
+    /// Output positions `o` of one kernel offset whose input coordinate
+    /// `o * stride + offset - pad` lies inside `0..size`, out of `0..out`.
+    fn valid_span(&self, offset: usize, size: usize, out: usize) -> Range<usize> {
+        let lo = self.pad.saturating_sub(offset).div_ceil(self.stride);
+        let hi = (size + self.pad)
+            .saturating_sub(offset)
+            .div_ceil(self.stride)
+            .min(out);
+        lo..hi.max(lo)
+    }
+
+    /// The `[cg·k·k × b·oh·ow]` patch matrix of one group. Each
+    /// (channel, kernel offset, image, output row) copies its in-bounds
+    /// span of input pixels at once; padding stays zero.
     fn im2col(&self, input: &Tensor, group: usize) -> Vec<f32> {
         let [b, _c, h, w]: [usize; 4] = self.cached_input_shape[..]
             .try_into()
@@ -118,20 +133,22 @@ impl Conv2d {
                     &data[(bi * self.in_ch + ch) * h * w..(bi * self.in_ch + ch + 1) * h * w];
                 for ki in 0..self.k {
                     for kj in 0..self.k {
-                        let row = (c * kk + ki * self.k + kj) * n;
-                        for oy in 0..oh {
-                            let y = (oy * self.stride + ki) as isize - self.pad as isize;
-                            if y < 0 || y >= h as isize {
-                                continue;
-                            }
-                            let src_row = y as usize * w;
-                            for ox in 0..ow {
-                                let x = (ox * self.stride + kj) as isize - self.pad as isize;
-                                if x < 0 || x >= w as isize {
-                                    continue;
+                        let row = (c * kk + ki * self.k + kj) * n + bi * oh * ow;
+                        let xs = self.valid_span(kj, w, ow);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let x0 = xs.start * self.stride + kj - self.pad;
+                        for oy in self.valid_span(ki, h, oh) {
+                            let y = oy * self.stride + ki - self.pad;
+                            let src = &plane[y * w + x0..(y + 1) * w];
+                            let dst = &mut col[row + oy * ow + xs.start..row + oy * ow + xs.end];
+                            if self.stride == 1 {
+                                dst.copy_from_slice(&src[..dst.len()]);
+                            } else {
+                                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(self.stride)) {
+                                    *d = v;
                                 }
-                                col[row + bi * oh * ow + oy * ow + ox] =
-                                    plane[src_row + x as usize];
                             }
                         }
                     }
@@ -141,6 +158,9 @@ impl Conv2d {
         col
     }
 
+    /// Scatter-adds one group's patch-matrix gradient into the input
+    /// gradient: [`Conv2d::im2col`]'s spans in its order, so every input
+    /// pixel sums its contributions in the same sequence.
     fn col2im(&self, grad_col: &[f32], grad_input: &mut Tensor, group: usize) {
         let [b, _c, h, w]: [usize; 4] = self.cached_input_shape[..].try_into().unwrap();
         let (oh, ow) = self.output_hw(h, w);
@@ -154,25 +174,70 @@ impl Conv2d {
                 let base = (bi * self.in_ch + ch) * h * w;
                 for ki in 0..self.k {
                     for kj in 0..self.k {
-                        let row = (c * kk + ki * self.k + kj) * n;
-                        for oy in 0..oh {
-                            let y = (oy * self.stride + ki) as isize - self.pad as isize;
-                            if y < 0 || y >= h as isize {
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let x = (ox * self.stride + kj) as isize - self.pad as isize;
-                                if x < 0 || x >= w as isize {
-                                    continue;
-                                }
-                                data[base + y as usize * w + x as usize] +=
-                                    grad_col[row + bi * oh * ow + oy * ow + ox];
+                        let row = (c * kk + ki * self.k + kj) * n + bi * oh * ow;
+                        let xs = self.valid_span(kj, w, ow);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let x0 = xs.start * self.stride + kj - self.pad;
+                        for oy in self.valid_span(ki, h, oh) {
+                            let y = oy * self.stride + ki - self.pad;
+                            let dst = &mut data[base + y * w + x0..base + (y + 1) * w];
+                            let src = &grad_col[row + oy * ow + xs.start..row + oy * ow + xs.end];
+                            for (d, &g) in dst.iter_mut().step_by(self.stride).zip(src) {
+                                *d += g;
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Accumulates the bias and weight gradients of `grad` and returns
+    /// it re-packed per group as the `[cg_out × b·oh·ow]` GEMM operand
+    /// the input gradient needs.
+    fn param_gradients(&mut self, grad: &Tensor) -> Vec<Vec<f32>> {
+        let [b, ..]: [usize; 4] = self.cached_input_shape[..]
+            .try_into()
+            .expect("backward requires a training forward");
+        let (oh, ow) = self.out_hw;
+        let cg_out = self.out_ch / self.groups;
+        let kdim = (self.in_ch / self.groups) * self.k * self.k;
+        let n = b * oh * ow;
+        let grad_data = grad.data();
+        let mut grad_mats = Vec::with_capacity(self.groups);
+        for g in 0..self.groups {
+            // Re-pack grad from NCHW to [cg_out × n] GEMM layout.
+            let mut grad_mat = vec![0.0f32; cg_out * n];
+            for oc in 0..cg_out {
+                let ch = g * cg_out + oc;
+                for bi in 0..b {
+                    let src = (bi * self.out_ch + ch) * oh * ow;
+                    let dst = oc * n + bi * oh * ow;
+                    grad_mat[dst..dst + oh * ow].copy_from_slice(&grad_data[src..src + oh * ow]);
+                }
+            }
+            // Bias gradient.
+            for oc in 0..cg_out {
+                let ch = g * cg_out + oc;
+                let sum: f32 = grad_mat[oc * n..(oc + 1) * n].iter().sum();
+                self.bias.grad.data_mut()[ch] += sum;
+            }
+            // Weight gradient: grad_w[cg_out × kdim] = grad_mat · colᵀ.
+            let col = &self.cached_cols[g];
+            let mut gw = vec![0.0f32; cg_out * kdim];
+            matmul_nt(&grad_mat, col, &mut gw, cg_out, n, kdim);
+            let wg = self.weight.grad.data_mut();
+            for (dst, src) in wg[g * cg_out * kdim..(g + 1) * cg_out * kdim]
+                .iter_mut()
+                .zip(&gw)
+            {
+                *dst += src;
+            }
+            grad_mats.push(grad_mat);
+        }
+        grad_mats
     }
 }
 
@@ -249,52 +314,26 @@ impl Layer for Conv2d {
         let [b, _, h, w]: [usize; 4] = self.cached_input_shape[..].try_into().unwrap();
         let (oh, ow) = self.out_hw;
         let cg_out = self.out_ch / self.groups;
-        let cg_in = self.in_ch / self.groups;
-        let kdim = cg_in * self.k * self.k;
+        let kdim = (self.in_ch / self.groups) * self.k * self.k;
         let n = b * oh * ow;
+        let grad_mats = self.param_gradients(grad);
         let w_eff = self
             .cached_weights
             .as_ref()
             .expect("backward requires a training forward");
-
         let mut grad_input = Tensor::zeros(&[b, self.in_ch, h, w]);
-        let grad_data = grad.data();
-
-        for g in 0..self.groups {
-            // Re-pack grad from NCHW to [cg_out × n] GEMM layout.
-            let mut grad_mat = vec![0.0f32; cg_out * n];
-            for oc in 0..cg_out {
-                let ch = g * cg_out + oc;
-                for bi in 0..b {
-                    let src = (bi * self.out_ch + ch) * oh * ow;
-                    let dst = oc * n + bi * oh * ow;
-                    grad_mat[dst..dst + oh * ow].copy_from_slice(&grad_data[src..src + oh * ow]);
-                }
-            }
-            // Bias gradient.
-            for oc in 0..cg_out {
-                let ch = g * cg_out + oc;
-                let sum: f32 = grad_mat[oc * n..(oc + 1) * n].iter().sum();
-                self.bias.grad.data_mut()[ch] += sum;
-            }
-            // Weight gradient: grad_w[cg_out × kdim] = grad_mat · colᵀ.
-            let col = &self.cached_cols[g];
-            let mut gw = vec![0.0f32; cg_out * kdim];
-            matmul_nt(&grad_mat, col, &mut gw, cg_out, n, kdim);
-            let wg = self.weight.grad.data_mut();
-            for (dst, src) in wg[g * cg_out * kdim..(g + 1) * cg_out * kdim]
-                .iter_mut()
-                .zip(&gw)
-            {
-                *dst += src;
-            }
+        for (g, grad_mat) in grad_mats.iter().enumerate() {
             // Input gradient: grad_col[kdim × n] = w_effᵀ · grad_mat.
             let w_slice = &w_eff.data()[g * cg_out * kdim..(g + 1) * cg_out * kdim];
             let mut grad_col = vec![0.0f32; kdim * n];
-            matmul_tn(w_slice, &grad_mat, &mut grad_col, kdim, cg_out, n);
+            matmul_tn(w_slice, grad_mat, &mut grad_col, kdim, cg_out, n);
             self.col2im(&grad_col, &mut grad_input, g);
         }
         grad_input
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        let _ = self.param_gradients(grad);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -473,6 +512,107 @@ mod tests {
         assert_eq!(cap.n, 16);
         assert_eq!(cap.weight_codes.len(), cap.m * cap.k);
         assert_eq!(cap.act_codes.len(), cap.k * cap.n);
+    }
+
+    /// The patch matrix by the general per-element loop: every
+    /// (channel, kernel offset, image, output pixel) checks its input
+    /// coordinate against the borders.
+    fn im2col_reference(conv: &Conv2d, input: &Tensor, group: usize) -> Vec<f32> {
+        let [b, _, h, w]: [usize; 4] = input.shape()[..].try_into().unwrap();
+        let (oh, ow) = conv.output_hw(h, w);
+        let cg = conv.in_ch / conv.groups;
+        let (k, kk, n) = (conv.k, conv.k * conv.k, b * oh * ow);
+        let mut col = vec![0.0f32; cg * kk * n];
+        for bi in 0..b {
+            for c in 0..cg {
+                let ch = group * cg + c;
+                for ki in 0..k {
+                    for kj in 0..k {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let y = (oy * conv.stride + ki) as isize - conv.pad as isize;
+                                let x = (ox * conv.stride + kj) as isize - conv.pad as isize;
+                                if y < 0 || y >= h as isize || x < 0 || x >= w as isize {
+                                    continue;
+                                }
+                                col[(c * kk + ki * k + kj) * n + bi * oh * ow + oy * ow + ox] =
+                                    input.data()[((bi * conv.in_ch + ch) * h + y as usize) * w
+                                        + x as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        col
+    }
+
+    /// [`Conv2d::col2im`] by the general per-element loop, in the same
+    /// (channel, kernel offset, image, output pixel) order.
+    fn col2im_reference(conv: &Conv2d, grad_col: &[f32], grad_input: &mut Tensor, group: usize) {
+        let [b, _, h, w]: [usize; 4] = grad_input.shape()[..].try_into().unwrap();
+        let (oh, ow) = conv.output_hw(h, w);
+        let cg = conv.in_ch / conv.groups;
+        let (k, kk, n) = (conv.k, conv.k * conv.k, b * oh * ow);
+        for bi in 0..b {
+            for c in 0..cg {
+                let ch = group * cg + c;
+                for ki in 0..k {
+                    for kj in 0..k {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let y = (oy * conv.stride + ki) as isize - conv.pad as isize;
+                                let x = (ox * conv.stride + kj) as isize - conv.pad as isize;
+                                if y < 0 || y >= h as isize || x < 0 || x >= w as isize {
+                                    continue;
+                                }
+                                grad_input.data_mut()
+                                    [((bi * conv.in_ch + ch) * h + y as usize) * w + x as usize] +=
+                                    grad_col
+                                        [(c * kk + ki * k + kj) * n + bi * oh * ow + oy * ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_im2col_and_col2im_match_the_general_loop() {
+        // (in_ch, out_ch, k, stride, pad, groups, h, w): stride 2 with
+        // and without padding, grouped and depthwise, padding wider
+        // than the input so whole kernel rows fall outside it.
+        let configs = [
+            (3, 6, 5, 1, 0, 1, 9, 11),
+            (2, 4, 3, 2, 1, 1, 7, 8),
+            (4, 4, 3, 2, 0, 2, 9, 9),
+            (4, 4, 3, 1, 1, 4, 5, 6),
+            (2, 2, 5, 2, 2, 1, 6, 5),
+            (1, 2, 5, 1, 3, 1, 1, 2),
+        ];
+        for (i, &(in_ch, out_ch, k, stride, pad, groups, h, w)) in configs.iter().enumerate() {
+            let mut conv = Conv2d::new("c", in_ch, out_ch, k, stride, pad, groups, &mut rng());
+            let input = rand_tensor(&[2, in_ch, h, w], 40 + i as u64);
+            conv.cached_input_shape = input.shape().to_vec();
+            let (oh, ow) = conv.output_hw(h, w);
+            let rows = (in_ch / groups) * k * k;
+            let mut grad_input = Tensor::zeros(input.shape());
+            let mut expected = Tensor::zeros(input.shape());
+            for g in 0..groups {
+                let col = conv.im2col(&input, g);
+                assert_eq!(
+                    col,
+                    im2col_reference(&conv, &input, g),
+                    "config {i}, group {g}"
+                );
+                let grad_col = rand_tensor(&[rows * 2 * oh * ow], 90 + i as u64).into_data();
+                conv.col2im(&grad_col, &mut grad_input, g);
+                col2im_reference(&conv, &grad_col, &mut expected, g);
+            }
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grad_input), bits(&expected), "config {i}: col2im");
+        }
     }
 
     #[test]

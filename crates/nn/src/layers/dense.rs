@@ -124,12 +124,28 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("training forward required");
+        self.backward_params(grad);
         let w_eff = self
             .cached_weights
+            .as_ref()
+            .expect("training forward required");
+        let b = grad.shape()[0];
+        // grad_x[B×F] = grad[B×O] · W[O×F].
+        let mut gx = vec![0.0f32; b * self.in_features];
+        matmul(
+            grad.data(),
+            w_eff.data(),
+            &mut gx,
+            b,
+            self.out_features,
+            self.in_features,
+        );
+        Tensor::from_vec(&[b, self.in_features], gx)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        let input = self
+            .cached_input
             .as_ref()
             .expect("training forward required");
         let b = input.shape()[0];
@@ -153,17 +169,6 @@ impl Layer for Dense {
                 self.bias.grad.data_mut()[o] += grad.data()[bi * self.out_features + o];
             }
         }
-        // grad_x[B×F] = grad[B×O] · W[O×F].
-        let mut gx = vec![0.0f32; b * self.in_features];
-        matmul(
-            grad.data(),
-            w_eff.data(),
-            &mut gx,
-            b,
-            self.out_features,
-            self.in_features,
-        );
-        Tensor::from_vec(&[b, self.in_features], gx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

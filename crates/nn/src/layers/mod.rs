@@ -136,6 +136,14 @@ pub trait Layer: fmt::Debug {
     /// Must be called after a `forward` with `training = true`.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads
+    /// (the first layer of a network in training): accumulates the same
+    /// parameter gradients, bit for bit, and may skip the input gradient.
+    /// The default runs `backward` and drops the input gradient.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let _ = self.backward(grad);
+    }
+
     /// Visits every trainable parameter in a stable order.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 

@@ -64,6 +64,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// Propagates through every layer but the first, which only
+    /// accumulates its parameter gradients.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -246,6 +259,14 @@ impl Network {
         self.root.backward(grad)
     }
 
+    /// Backward pass for training: accumulates the same parameter
+    /// gradients as [`Network::backward`] but skips the gradient with
+    /// respect to the network input, which an optimizer step never
+    /// reads.
+    pub fn backward_params(&mut self, grad: &Tensor) {
+        self.root.backward_params(grad);
+    }
+
     /// Forward pass that records every quantized GEMM (weights as int8
     /// codes, streamed activations as uint8 codes) for systolic replay.
     pub fn forward_capture(&mut self, input: &Tensor) -> (Tensor, Vec<GemmCapture>) {
@@ -393,6 +414,66 @@ mod tests {
         let g = Tensor::from_vec(&[2, 3], vec![1.0; 6]);
         let gx = net.backward(&g);
         assert_eq!(gx.shape(), &[2, 4]);
+    }
+
+    /// Every parameter gradient's bits, in visit order.
+    fn grad_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        let mut grads = Vec::new();
+        net.visit_params(&mut |p| grads.push(p.grad.data().iter().map(|v| v.to_bits()).collect()));
+        grads
+    }
+
+    /// Runs one quantized training step's backward on a fresh `make()`
+    /// network, with a restricted weight set as in retraining, and
+    /// returns its parameter gradients.
+    fn step_grads(make: fn() -> Network, x: &Tensor, params_only: bool) -> Vec<Vec<u32>> {
+        let mut net = make();
+        net.quantize = true;
+        net.set_weight_restriction(Some(ValueSet::new([-96, -40, -9, 0, 9, 40, 96])));
+        let out = net.forward_train(x);
+        let g = Tensor::from_vec(
+            out.shape(),
+            (0..out.len())
+                .map(|i| (i % 5) as f32 * 0.3 - 0.55)
+                .collect(),
+        );
+        if params_only {
+            net.backward_params(&g);
+        } else {
+            let _ = net.backward(&g);
+        }
+        grad_bits(&mut net)
+    }
+
+    #[test]
+    fn params_only_backward_leaves_every_gradient_bit_identical() {
+        fn cnn() -> Network {
+            crate::models::tiny_cnn("cnn", 1, 8, 3, &mut StdRng::seed_from_u64(8))
+        }
+        fn grouped() -> Network {
+            let mut r = StdRng::seed_from_u64(9);
+            let conv = crate::layers::Conv2d::new("conv", 4, 6, 3, 2, 1, 2, &mut r);
+            Network::new(Sequential::new("grouped").with(conv))
+        }
+        // Dense-first, conv-first, and a lone grouped, strided, padded
+        // conv.
+        let nets = [
+            (mlp as fn() -> Network, &[3, 4][..]),
+            (cnn, &[3, 1, 8, 8]),
+            (grouped, &[2, 4, 7, 7]),
+        ];
+        for (make, shape) in nets {
+            let len: usize = shape.iter().product();
+            let x = Tensor::from_vec(shape, (0..len).map(|i| (i % 11) as f32 * 0.09).collect());
+            let full = step_grads(make, &x, false);
+            assert!(full.iter().flatten().any(|&b| b != 0), "no gradient flowed");
+            assert_eq!(
+                step_grads(make, &x, true),
+                full,
+                "network {}",
+                make().name()
+            );
+        }
     }
 
     #[test]

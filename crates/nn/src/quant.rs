@@ -167,13 +167,11 @@ impl WeightQuantizer {
     #[must_use]
     pub fn quantize(&self, w: &Tensor) -> QuantizedWeights {
         let scale = (w.max_abs() / 127.0).max(1e-8);
+        let project = projection_table::<255>(self.allowed.as_ref(), -127);
         let mut codes = Vec::with_capacity(w.len());
         let mut dequant = Vec::with_capacity(w.len());
         for &v in w.data() {
-            let mut code = (v / scale).round().clamp(-127.0, 127.0) as i32;
-            if let Some(set) = &self.allowed {
-                code = set.project(code);
-            }
+            let code = project[(round_clamp(v / scale, -127, 127) + 127) as usize];
             codes.push(code as i8);
             dequant.push(code as f32 * scale);
         }
@@ -221,14 +219,12 @@ impl ActQuantizer {
     /// allowed set when one is configured.
     #[must_use]
     pub fn quantize(&self, x: &Tensor) -> QuantizedActs {
-        let scale = (self.range / 255.0).max(1e-8);
+        let scale = self.scale();
+        let project = projection_table::<256>(self.allowed.as_ref(), 0);
         let mut codes = Vec::with_capacity(x.len());
         let mut dequant = Vec::with_capacity(x.len());
         for &v in x.data() {
-            let mut code = (v / scale).round().clamp(0.0, 255.0) as i32;
-            if let Some(set) = &self.allowed {
-                code = set.project(code);
-            }
+            let code = project[raw_act_code(v, scale)];
             codes.push(code as u8);
             dequant.push(code as f32 * scale);
         }
@@ -238,6 +234,49 @@ impl ActQuantizer {
             dequant: Tensor::from_vec(x.shape(), dequant),
         }
     }
+
+    /// Fake-quantizes one activation: the function maps `v` to what
+    /// [`ActQuantizer::quantize`] puts in `dequant` for it, by looking
+    /// up a table of all 256 dequantized codes.
+    pub(crate) fn fake_quantizer(&self) -> impl Fn(f32) -> f32 {
+        let scale = self.scale();
+        let project = projection_table::<256>(self.allowed.as_ref(), 0);
+        let values: [f32; 256] = std::array::from_fn(|i| project[i] as f32 * scale);
+        move |v| values[raw_act_code(v, scale)]
+    }
+
+    fn scale(&self) -> f32 {
+        (self.range / 255.0).max(1e-8)
+    }
+}
+
+/// The activation code of `v` before projection:
+/// `clamp(round(v / scale), 0, 255)`.
+fn raw_act_code(v: f32, scale: f32) -> usize {
+    round_clamp(v / scale, 0, 255) as usize
+}
+
+/// `x.round().clamp(lo, hi) as i32` (round half away from zero; NaN
+/// maps to 0) in integer arithmetic, without a `roundf` call per value.
+///
+/// Clamping to one past the bounds first keeps `|x|` small, where the
+/// truncation `t` and the fraction `x - t` are exact, and cannot change
+/// the final clamped result.
+fn round_clamp(x: f32, lo: i32, hi: i32) -> i32 {
+    let x = x.clamp(lo as f32 - 1.0, hi as f32 + 1.0);
+    let t = x as i32;
+    let frac = x - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)).clamp(lo, hi)
+}
+
+/// `allowed.project(first + i)` for each of the `N` codes from `first`
+/// (the identity when unrestricted): one binary search per code rather
+/// than one per quantized value.
+fn projection_table<const N: usize>(allowed: Option<&ValueSet>, first: i32) -> [i32; N] {
+    std::array::from_fn(|i| {
+        let code = first + i as i32;
+        allowed.map_or(code, |set| set.project(code))
+    })
 }
 
 impl Default for ActQuantizer {
@@ -330,6 +369,45 @@ mod tests {
         let q = quant.quantize(&x);
         for &code in &q.codes {
             assert!(allowed.contains(code as i32));
+        }
+    }
+
+    #[test]
+    fn round_clamp_matches_libm_round() {
+        let reference = |x: f32, lo: i32, hi: i32| x.round().clamp(lo as f32, hi as f32) as i32;
+        let mut xs = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            1e9,
+            -1e9,
+        ];
+        // Every integer and half-integer in and around both ranges, and
+        // the four floats on either side of each.
+        for twice in -600..=600 {
+            let x = twice as f32 / 2.0;
+            for ulps in -4i32..=4 {
+                xs.push(f32::from_bits(x.to_bits().wrapping_add_signed(ulps)));
+            }
+        }
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..100_000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            xs.push((seed >> 40) as f32 / (1u64 << 24) as f32 * 600.0 - 300.0);
+        }
+        for &x in &xs {
+            for (lo, hi) in [(-127, 127), (0, 255)] {
+                assert_eq!(round_clamp(x, lo, hi), reference(x, lo, hi), "x = {x:e}");
+            }
         }
     }
 

@@ -147,7 +147,7 @@ pub fn train_with_hook(
             total_loss += loss * labels.len() as f32;
             total_correct += accuracy(&logits, &labels) * labels.len() as f64;
             total_seen += labels.len();
-            let _ = net.backward(&grad);
+            net.backward_params(&grad);
             if let Some(max_norm) = config.clip_norm {
                 let _ = clip_gradients(net, max_norm);
             }
