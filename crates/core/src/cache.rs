@@ -1,7 +1,8 @@
 //! Warm-start caching of every expensive pipeline stage.
 //!
-//! All four artifact-producing stages are pure functions of their
-//! inputs, so each gets a content-addressed key and a typed wire codec:
+//! All five artifact-producing stages are pure functions of their
+//! inputs, so each gets a content-addressed key and an `Artifact`
+//! codec:
 //!
 //! * baseline QAT **training** ([`training_key`]) — commits to the
 //!   network kind, both dataset specifications, every optimizer and
@@ -13,8 +14,8 @@
 //!   and restriction sets) and the captured input batch; the artifact
 //!   is the quantized operand streams (`nn::serialize::write_captures`).
 //! * power **characterization** ([`characterization_key`]) and
-//!   **timing** ([`timing_key`]) — as before, committing to the cell
-//!   library, netlist structures, seeds, budgets and capture content.
+//!   **timing** ([`timing_key`]) — commit to the cell library, netlist
+//!   structures, seeds, budgets and capture content.
 //! * sweep-point **retraining** ([`retrain_key`]) — commits to the
 //!   entering network state (parameters, buffers, installed
 //!   restrictions), the requested mode (pruning sparsity or the value
@@ -22,6 +23,15 @@
 //!   stream position; the artifact is the post-retrain network state,
 //!   the measured accuracy and the **exit** RNG state, so a hit resumes
 //!   the sweep bit-identically without replaying a single epoch.
+//!
+//! Every stage runs through one lookup → compute → store path,
+//! `CharCache::cached`: it reads and decodes the stored artifact,
+//! counts the hit or miss under the kind's `charcache_<kind>_*`
+//! counters, and on a miss computes, prepends a provenance section and
+//! stores. Adding a cached stage means writing one key function and one
+//! `Artifact` impl, whose counter pair is one more `CharCache` field.
+//! The request manifest ([`request_key`]) is stored the same way but
+//! left uncounted.
 //!
 //! Keys are derived through [`KeyFields`], an order-insensitive named
 //! field builder: the digest depends on *which* fields carry *which*
@@ -46,11 +56,11 @@
 //! settle/transition round-trip, on `BitSim` for power and `BatchSim`
 //! for timing (zero transitions, observable via
 //! `gatesim::sim_transitions`). Decode failures (corruption, version
-//! skew) degrade to a miss and the artifact is recomputed and
-//! rewritten.
+//! skew, a stored state that does not fit the network) degrade to a
+//! miss and the artifact is recomputed and rewritten.
 
 use crate::chars::{MacHardware, PsumBinning, WeightPowerProfile};
-use crate::pipeline::stages::characterize::{dataset_spec, untrained_prepared};
+use crate::pipeline::stages::characterize::dataset_spec;
 use crate::pipeline::stages::PipelineCtx;
 use crate::pipeline::{Characterization, NetworkKind, Prepared};
 use crate::retrain::RetrainConfig;
@@ -61,56 +71,13 @@ use charstore::{Digest128, Hasher128, Section, Store};
 use gatesim::{CellKind, CellLibrary};
 use nn::layers::GemmCapture;
 use nn::model::Network;
+use nn::train::TrainConfig;
+use obs::metrics::InstanceCounter;
 use rand::rngs::StdRng;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock};
-use systolic::MacEnergyModel;
-
-/// Per-artifact-kind registry counters: the typed `lookup_*` methods
-/// know which stage's artifact they answer, so `/metrics` can break
-/// cache effectiveness down by stage where the per-instance
-/// [`CacheCounters`] only totals.
-struct StageCacheMetrics {
-    hits: obs::metrics::Counter,
-    misses: obs::metrics::Counter,
-}
-
-macro_rules! stage_cache_metrics {
-    ($name:ident, $hits:literal, $misses:literal) => {
-        static $name: LazyLock<StageCacheMetrics> = LazyLock::new(|| StageCacheMetrics {
-            hits: obs::metrics::counter($hits),
-            misses: obs::metrics::counter($misses),
-        });
-    };
-}
-
-stage_cache_metrics!(
-    TRAINING_CACHE,
-    "charcache_training_hits_total",
-    "charcache_training_misses_total"
-);
-stage_cache_metrics!(
-    CAPTURES_CACHE,
-    "charcache_captures_hits_total",
-    "charcache_captures_misses_total"
-);
-stage_cache_metrics!(
-    CHARACTERIZATION_CACHE,
-    "charcache_characterization_hits_total",
-    "charcache_characterization_misses_total"
-);
-stage_cache_metrics!(
-    TIMING_CACHE,
-    "charcache_timing_hits_total",
-    "charcache_timing_misses_total"
-);
-stage_cache_metrics!(
-    RETRAIN_CACHE,
-    "charcache_retrain_hits_total",
-    "charcache_retrain_misses_total"
-);
+use std::sync::Arc;
+use systolic::{MacEnergyModel, TransitionStats};
 
 /// Default store directory (relative to the working directory).
 pub const DEFAULT_CACHE_DIR: &str = ".powerpruning-cache";
@@ -322,6 +289,30 @@ pub fn timing_key(ctx: &PipelineCtx<'_>, slow_floor_ps: f64) -> Digest128 {
     h.finalize()
 }
 
+/// Commits every optimizer hyperparameter of `tc` under `opt.*`. The
+/// destructuring names every field, so a new [`TrainConfig`] field does
+/// not compile until it is committed here, for [`training_key`] and
+/// [`retrain_key`] alike.
+fn commit_train_config(k: &mut KeyFields, tc: &TrainConfig) {
+    let TrainConfig {
+        epochs,
+        batch_size,
+        lr,
+        momentum,
+        weight_decay,
+        lr_decay,
+        clip_norm,
+    } = *tc;
+    k.usize("opt.epochs", epochs);
+    k.usize("opt.batch_size", batch_size);
+    k.f32("opt.lr", lr);
+    k.f32("opt.momentum", momentum);
+    k.f32("opt.weight_decay", weight_decay);
+    k.f32("opt.lr_decay", lr_decay);
+    k.bool("opt.clip", clip_norm.is_some());
+    k.f32("opt.clip_norm", clip_norm.unwrap_or(0.0));
+}
+
 /// The cache key of the baseline QAT training artifact produced by the
 /// pipeline's prepare stage.
 ///
@@ -351,15 +342,7 @@ pub fn training_key(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> Digest128 {
         k.f32(&format!("{split}.noise"), spec.noise);
         k.u64(&format!("{split}.seed"), spec.seed);
     }
-    let tc = cfg.train_config(cfg.baseline_epochs());
-    k.usize("opt.epochs", tc.epochs);
-    k.usize("opt.batch_size", tc.batch_size);
-    k.f32("opt.lr", tc.lr);
-    k.f32("opt.momentum", tc.momentum);
-    k.f32("opt.weight_decay", tc.weight_decay);
-    k.f32("opt.lr_decay", tc.lr_decay);
-    k.bool("opt.clip", tc.clip_norm.is_some());
-    k.f32("opt.clip_norm", tc.clip_norm.unwrap_or(0.0));
+    commit_train_config(&mut k, &cfg.train_config(cfg.baseline_epochs()));
     k.bool("quantize", true);
     k.finalize("powerpruning.training.v1")
 }
@@ -527,14 +510,7 @@ pub fn retrain_key(
             );
         }
     }
-    k.usize("opt.epochs", cfg.train.epochs);
-    k.usize("opt.batch_size", cfg.train.batch_size);
-    k.f32("opt.lr", cfg.train.lr);
-    k.f32("opt.momentum", cfg.train.momentum);
-    k.f32("opt.weight_decay", cfg.train.weight_decay);
-    k.f32("opt.lr_decay", cfg.train.lr_decay);
-    k.bool("opt.clip", cfg.train.clip_norm.is_some());
-    k.f32("opt.clip_norm", cfg.train.clip_norm.unwrap_or(0.0));
+    commit_train_config(&mut k, &cfg.train);
     k.usize("eval_batch", cfg.eval_batch);
     let s = rng.state();
     for (i, &word) in s.iter().enumerate() {
@@ -612,46 +588,6 @@ impl RequestManifest {
     }
 }
 
-fn encode_manifest(ctx: &PipelineCtx<'_>, m: &RequestManifest) -> Vec<Section> {
-    let mut buf = Vec::new();
-    for (_, key) in m.stage_keys() {
-        buf.extend_from_slice(&key.0);
-    }
-    wire::put_f64(&mut buf, m.accuracy);
-    wire::put_u64(&mut buf, m.captures);
-    wire::put_u64(&mut buf, m.power_codes);
-    vec![
-        provenance_section(ctx, "request-manifest"),
-        Section::new(section::MANIFEST, buf),
-    ]
-}
-
-fn decode_manifest(sections: &[Section]) -> io::Result<RequestManifest> {
-    let mut r = required(sections, section::MANIFEST)?;
-    let digest = |r: &mut Reader<'_>| -> io::Result<Digest128> {
-        let mut d = Digest128([0; 16]);
-        d.0.copy_from_slice(r.take(16)?);
-        Ok(d)
-    };
-    let training = digest(&mut r)?;
-    let capture = digest(&mut r)?;
-    let characterization = digest(&mut r)?;
-    let timing = digest(&mut r)?;
-    let accuracy = r.f64()?;
-    let captures = r.u64()?;
-    let power_codes = r.u64()?;
-    r.finish()?;
-    Ok(RequestManifest {
-        training,
-        capture,
-        characterization,
-        timing,
-        accuracy,
-        captures,
-        power_codes,
-    })
-}
-
 /// What serving one characterization request did: the request key, the
 /// manifest (stage keys + observables), and how much work it cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -713,174 +649,267 @@ pub fn decode_provenance(sections: &[Section]) -> Vec<(String, String)> {
     out
 }
 
-fn encode_characterization(ctx: &PipelineCtx<'_>, chars: &Characterization) -> Vec<Section> {
-    let mut stats = Vec::new();
-    chars.stats.write_to(&mut stats);
-    let mut binning = Vec::new();
-    chars.binning.write_to(&mut binning);
-    let mut power = Vec::new();
-    chars.power_profile.write_to(&mut power);
-    let mut energy = Vec::new();
-    chars.energy_model.write_to(&mut energy);
-    vec![
-        provenance_section(ctx, "characterization"),
-        Section::new(section::STATS, stats),
-        Section::new(section::BINNING, binning),
-        Section::new(section::POWER_PROFILE, power),
-        Section::new(section::ENERGY_MODEL, energy),
-    ]
+/// One kind of stored stage artifact: the label its provenance section
+/// carries, the hit/miss counters its lookups bump and the codec of its
+/// payload sections. [`CharCache::cached`] does the rest.
+///
+/// `Base` is `()` for self-contained kinds and the caller's [`Network`]
+/// for training and retraining, whose stored state is loaded over that
+/// network in place.
+pub(crate) trait Artifact: Sized {
+    /// What the artifact is decoded into besides the returned value.
+    type Base;
+    /// The `artifact` entry of the provenance section.
+    const LABEL: &'static str;
+    /// This kind's hit/miss pair on `cache`; `None` leaves it uncounted.
+    fn counters(cache: &CharCache) -> Option<&HitMiss>;
+    /// The payload sections (the provenance section is added by the
+    /// cache). Takes the base mutably because state serialization
+    /// visits parameters through `&mut` hooks.
+    fn encode(&self, base: &mut Self::Base) -> Vec<Section>;
+    /// Decodes the payload sections. On an error `base` is left
+    /// untouched, so the miss recomputes from the caller's own state.
+    fn decode(sections: &[Section], base: &mut Self::Base) -> io::Result<Self>;
 }
 
-fn required<'a>(sections: &'a [Section], id: u32) -> io::Result<Reader<'a>> {
-    find(sections, id)
-        .map(|s| Reader::new(&s.bytes))
-        .ok_or_else(|| wire::invalid(format!("artifact is missing section {id}")))
+/// A section whose bytes `write` produces.
+fn write_section(id: u32, write: impl FnOnce(&mut Vec<u8>)) -> Section {
+    let mut bytes = Vec::new();
+    write(&mut bytes);
+    Section::new(id, bytes)
 }
 
-fn decode_characterization(sections: &[Section]) -> io::Result<Characterization> {
-    let mut r = required(sections, section::STATS)?;
-    let stats = systolic::TransitionStats::read_from(&mut r)?;
+/// Reads section `id` whole through `read`: a missing section or bytes
+/// left over are decode errors.
+fn read_section<'a, T>(
+    sections: &'a [Section],
+    id: u32,
+    read: impl FnOnce(&mut Reader<'a>) -> io::Result<T>,
+) -> io::Result<T> {
+    let s = find(sections, id)
+        .ok_or_else(|| wire::invalid(format!("artifact is missing section {id}")))?;
+    let mut r = Reader::new(&s.bytes);
+    let value = read(&mut r)?;
     r.finish()?;
-    let mut r = required(sections, section::BINNING)?;
-    let binning = PsumBinning::read_from(&mut r)?;
-    r.finish()?;
-    let mut r = required(sections, section::POWER_PROFILE)?;
-    let power_profile = WeightPowerProfile::read_from(&mut r)?;
-    r.finish()?;
-    let mut r = required(sections, section::ENERGY_MODEL)?;
-    let energy_model = MacEnergyModel::read_from(&mut r)?;
-    r.finish()?;
-    Ok(Characterization {
-        stats,
-        binning,
-        power_profile,
-        energy_model,
-    })
+    Ok(value)
 }
 
-fn encode_timing(ctx: &PipelineCtx<'_>, profile: &WeightTimingProfile) -> Vec<Section> {
-    let mut buf = Vec::new();
-    profile.write_to(&mut buf);
-    vec![
-        provenance_section(ctx, "timing"),
-        Section::new(section::TIMING_PROFILE, buf),
-    ]
+/// A stored baseline training: the trained state, loaded into the
+/// caller's freshly built network, and its test accuracy.
+pub(crate) struct Trained {
+    /// Test accuracy after QAT.
+    pub(crate) accuracy: f64,
 }
 
-fn decode_timing(sections: &[Section]) -> io::Result<WeightTimingProfile> {
-    let mut r = required(sections, section::TIMING_PROFILE)?;
-    let profile = WeightTimingProfile::read_from(&mut r)?;
-    r.finish()?;
-    Ok(profile)
-}
+impl Artifact for Trained {
+    type Base = Network;
+    const LABEL: &'static str = "training";
 
-fn encode_training(ctx: &PipelineCtx<'_>, prepared: &mut Prepared) -> Vec<Section> {
-    let mut state = Vec::new();
-    nn::serialize::save_state(&mut prepared.net, &mut state).expect("Vec writes cannot fail");
-    let mut accuracy = Vec::new();
-    wire::put_f64(&mut accuracy, prepared.accuracy);
-    vec![
-        provenance_section(ctx, "training"),
-        Section::new(section::NET_STATE, state),
-        Section::new(section::ACCURACY, accuracy),
-    ]
-}
-
-/// Rebuilds a [`Prepared`] from a stored training artifact: datasets
-/// and the untrained network skeleton are regenerated deterministically
-/// from the configuration (cheap), then the trained state is loaded
-/// bit-exactly over it.
-fn decode_training(
-    ctx: &PipelineCtx<'_>,
-    kind: NetworkKind,
-    sections: &[Section],
-) -> io::Result<Prepared> {
-    let state = find(sections, section::NET_STATE)
-        .ok_or_else(|| wire::invalid("training artifact is missing the network state"))?;
-    let mut r = required(sections, section::ACCURACY)?;
-    let accuracy = r.f64()?;
-    r.finish()?;
-    let (mut prepared, _rng) = untrained_prepared(ctx, kind);
-    nn::serialize::load_state(&mut prepared.net, state.bytes.as_slice())?;
-    prepared.accuracy = accuracy;
-    Ok(prepared)
-}
-
-fn encode_captures(ctx: &PipelineCtx<'_>, captures: &[GemmCapture]) -> Vec<Section> {
-    let mut buf = Vec::new();
-    nn::serialize::write_captures(captures, &mut buf);
-    vec![
-        provenance_section(ctx, "capture"),
-        Section::new(section::CAPTURES, buf),
-    ]
-}
-
-fn decode_captures(sections: &[Section]) -> io::Result<Vec<GemmCapture>> {
-    let mut r = required(sections, section::CAPTURES)?;
-    let captures = nn::serialize::read_captures(&mut r)?;
-    r.finish()?;
-    Ok(captures)
-}
-
-/// Decoded retrain artifact: the post-retrain network state (raw
-/// `nn::serialize` bytes, applied by the lookup), the test accuracy the
-/// retraining measured, and the RNG state at exit.
-struct RetrainArtifact {
-    state: Vec<u8>,
-    accuracy: f64,
-    rng_state: [u64; 4],
-}
-
-fn encode_retrain(
-    ctx: &PipelineCtx<'_>,
-    net: &mut Network,
-    accuracy: f64,
-    rng: &StdRng,
-) -> Vec<Section> {
-    let mut state = Vec::new();
-    nn::serialize::save_state(net, &mut state).expect("Vec writes cannot fail");
-    let mut acc = Vec::new();
-    wire::put_f64(&mut acc, accuracy);
-    let mut rng_buf = Vec::new();
-    for word in rng.state() {
-        wire::put_u64(&mut rng_buf, word);
+    fn counters(cache: &CharCache) -> Option<&HitMiss> {
+        Some(&cache.training)
     }
-    vec![
-        provenance_section(ctx, "retrain"),
-        Section::new(section::NET_STATE, state),
-        Section::new(section::ACCURACY, acc),
-        Section::new(section::RNG_STATE, rng_buf),
-    ]
-}
 
-fn decode_retrain(sections: &[Section]) -> io::Result<RetrainArtifact> {
-    let state = find(sections, section::NET_STATE)
-        .ok_or_else(|| wire::invalid("retrain artifact is missing the network state"))?
-        .bytes
-        .clone();
-    let mut r = required(sections, section::ACCURACY)?;
-    let accuracy = r.f64()?;
-    r.finish()?;
-    let mut r = required(sections, section::RNG_STATE)?;
-    let mut rng_state = [0u64; 4];
-    for word in &mut rng_state {
-        *word = r.u64()?;
+    fn encode(&self, net: &mut Network) -> Vec<Section> {
+        vec![
+            write_section(section::NET_STATE, |b| {
+                nn::serialize::save_state(net, b).expect("Vec writes cannot fail");
+            }),
+            write_section(section::ACCURACY, |b| wire::put_f64(b, self.accuracy)),
+        ]
     }
-    r.finish()?;
-    Ok(RetrainArtifact {
-        state,
-        accuracy,
-        rng_state,
-    })
+
+    /// Loads the state last and all or nothing, so a rejected artifact
+    /// never touches the network.
+    fn decode(sections: &[Section], net: &mut Network) -> io::Result<Trained> {
+        let accuracy = read_section(sections, section::ACCURACY, Reader::f64)?;
+        let state = find(sections, section::NET_STATE)
+            .ok_or_else(|| wire::invalid("artifact is missing the network state"))?;
+        nn::serialize::load_state(net, state.bytes.as_slice())?;
+        Ok(Trained { accuracy })
+    }
 }
 
-/// Typed hit/miss counters of one [`CharCache`].
+/// A stored sweep-point retraining: a [`Trained`] artifact plus the RNG
+/// state at exit, so the caller resumes its stream where the original
+/// retraining left it.
+pub(crate) struct Retrained {
+    /// Test accuracy after retraining.
+    pub(crate) accuracy: f64,
+    /// RNG state at exit.
+    pub(crate) rng_state: [u64; 4],
+}
+
+impl Artifact for Retrained {
+    type Base = Network;
+    const LABEL: &'static str = "retrain";
+
+    fn counters(cache: &CharCache) -> Option<&HitMiss> {
+        Some(&cache.retrain)
+    }
+
+    fn encode(&self, net: &mut Network) -> Vec<Section> {
+        let accuracy = self.accuracy;
+        let mut sections = Trained { accuracy }.encode(net);
+        sections.push(write_section(section::RNG_STATE, |b| {
+            for word in self.rng_state {
+                wire::put_u64(b, word);
+            }
+        }));
+        sections
+    }
+
+    fn decode(sections: &[Section], net: &mut Network) -> io::Result<Retrained> {
+        let rng_state = read_section(sections, section::RNG_STATE, |r| {
+            let mut state = [0u64; 4];
+            for word in &mut state {
+                *word = r.u64()?;
+            }
+            Ok(state)
+        })?;
+        let Trained { accuracy } = Trained::decode(sections, net)?;
+        Ok(Retrained {
+            accuracy,
+            rng_state,
+        })
+    }
+}
+
+impl Artifact for Vec<GemmCapture> {
+    type Base = ();
+    const LABEL: &'static str = "capture";
+
+    fn counters(cache: &CharCache) -> Option<&HitMiss> {
+        Some(&cache.captures)
+    }
+
+    fn encode(&self, _: &mut ()) -> Vec<Section> {
+        vec![write_section(section::CAPTURES, |b| {
+            nn::serialize::write_captures(self, b);
+        })]
+    }
+
+    fn decode(sections: &[Section], _: &mut ()) -> io::Result<Self> {
+        read_section(sections, section::CAPTURES, nn::serialize::read_captures)
+    }
+}
+
+impl Artifact for Characterization {
+    type Base = ();
+    const LABEL: &'static str = "characterization";
+
+    fn counters(cache: &CharCache) -> Option<&HitMiss> {
+        Some(&cache.characterization)
+    }
+
+    fn encode(&self, _: &mut ()) -> Vec<Section> {
+        vec![
+            write_section(section::STATS, |b| self.stats.write_to(b)),
+            write_section(section::BINNING, |b| self.binning.write_to(b)),
+            write_section(section::POWER_PROFILE, |b| self.power_profile.write_to(b)),
+            write_section(section::ENERGY_MODEL, |b| self.energy_model.write_to(b)),
+        ]
+    }
+
+    fn decode(sections: &[Section], _: &mut ()) -> io::Result<Self> {
+        Ok(Characterization {
+            stats: read_section(sections, section::STATS, TransitionStats::read_from)?,
+            binning: read_section(sections, section::BINNING, PsumBinning::read_from)?,
+            power_profile: read_section(
+                sections,
+                section::POWER_PROFILE,
+                WeightPowerProfile::read_from,
+            )?,
+            energy_model: read_section(sections, section::ENERGY_MODEL, MacEnergyModel::read_from)?,
+        })
+    }
+}
+
+impl Artifact for WeightTimingProfile {
+    type Base = ();
+    const LABEL: &'static str = "timing";
+
+    fn counters(cache: &CharCache) -> Option<&HitMiss> {
+        Some(&cache.timing)
+    }
+
+    fn encode(&self, _: &mut ()) -> Vec<Section> {
+        vec![write_section(section::TIMING_PROFILE, |b| self.write_to(b))]
+    }
+
+    fn decode(sections: &[Section], _: &mut ()) -> io::Result<Self> {
+        read_section(sections, section::TIMING_PROFILE, Self::read_from)
+    }
+}
+
+impl Artifact for RequestManifest {
+    type Base = ();
+    const LABEL: &'static str = "request-manifest";
+
+    /// Uncounted: a manifest answers a whole request, not a stage, and
+    /// the service accounts for requests itself.
+    fn counters(_: &CharCache) -> Option<&HitMiss> {
+        None
+    }
+
+    fn encode(&self, _: &mut ()) -> Vec<Section> {
+        vec![write_section(section::MANIFEST, |b| {
+            for (_, key) in self.stage_keys() {
+                b.extend_from_slice(&key.0);
+            }
+            wire::put_f64(b, self.accuracy);
+            wire::put_u64(b, self.captures);
+            wire::put_u64(b, self.power_codes);
+        })]
+    }
+
+    fn decode(sections: &[Section], _: &mut ()) -> io::Result<Self> {
+        read_section(sections, section::MANIFEST, |r| {
+            let mut digest = || -> io::Result<Digest128> {
+                let mut d = Digest128([0; 16]);
+                d.0.copy_from_slice(r.take(16)?);
+                Ok(d)
+            };
+            let (training, capture) = (digest()?, digest()?);
+            let (characterization, timing) = (digest()?, digest()?);
+            Ok(RequestManifest {
+                training,
+                capture,
+                characterization,
+                timing,
+                accuracy: r.f64()?,
+                captures: r.u64()?,
+                power_codes: r.u64()?,
+            })
+        })
+    }
+}
+
+/// The stored container of an artifact: a fresh provenance section,
+/// then the payload sections.
+fn container<A: Artifact>(ctx: &PipelineCtx<'_>, artifact: &A, base: &mut A::Base) -> Vec<Section> {
+    let mut sections = vec![provenance_section(ctx, A::LABEL)];
+    sections.extend(artifact.encode(base));
+    sections
+}
+
+/// Stage-artifact hits and misses of one [`CharCache`], summed over its
+/// five counted kinds (training, capture, characterization, timing and
+/// retrain; request manifests are not counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounters {
-    /// Artifact lookups answered from the store (either tier).
+    /// Lookups answered from the store (any tier).
     pub hits: u64,
-    /// Lookups that had to fall through to gate-level simulation.
+    /// Lookups that found no usable artifact, so the stage recomputed
+    /// it: trained, captured, simulated or retrained.
     pub misses: u64,
+}
+
+/// The hit and miss counts of one artifact kind on one [`CharCache`];
+/// each also feeds the registry counter it is named after.
+#[derive(Debug)]
+pub(crate) struct HitMiss {
+    hits: InstanceCounter,
+    misses: InstanceCounter,
 }
 
 /// The pipeline-facing artifact cache: typed lookups and stores over a
@@ -893,8 +922,11 @@ pub struct CacheCounters {
 #[derive(Debug)]
 pub struct CharCache {
     store: Arc<Store>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    training: HitMiss,
+    captures: HitMiss,
+    characterization: HitMiss,
+    timing: HitMiss,
+    retrain: HitMiss,
 }
 
 impl CharCache {
@@ -928,10 +960,32 @@ impl CharCache {
     /// where the HTTP front-end and every worker share one store.
     #[must_use]
     pub fn with_store(store: Arc<Store>) -> CharCache {
+        let pair = |hits, misses| HitMiss {
+            hits: InstanceCounter::new(hits),
+            misses: InstanceCounter::new(misses),
+        };
         CharCache {
             store,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            training: pair(
+                "charcache_training_hits_total",
+                "charcache_training_misses_total",
+            ),
+            captures: pair(
+                "charcache_captures_hits_total",
+                "charcache_captures_misses_total",
+            ),
+            characterization: pair(
+                "charcache_characterization_hits_total",
+                "charcache_characterization_misses_total",
+            ),
+            timing: pair(
+                "charcache_timing_hits_total",
+                "charcache_timing_misses_total",
+            ),
+            retrain: pair(
+                "charcache_retrain_hits_total",
+                "charcache_retrain_misses_total",
+            ),
         }
     }
 
@@ -974,169 +1028,82 @@ impl CharCache {
         Arc::clone(&self.store)
     }
 
-    /// Snapshot of the typed hit/miss counters.
+    /// Snapshot of the hit/miss counts, summed over every counted kind.
     #[must_use]
     pub fn counters(&self) -> CacheCounters {
+        let kinds = [
+            &self.training,
+            &self.captures,
+            &self.characterization,
+            &self.timing,
+            &self.retrain,
+        ];
         CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: kinds.iter().map(|k| k.hits.get()).sum(),
+            misses: kinds.iter().map(|k| k.misses.get()).sum(),
         }
     }
 
-    fn record<T>(&self, metrics: &StageCacheMetrics, result: Option<T>) -> Option<T> {
-        match result {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics.hits.inc();
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics.misses.inc();
-                None
-            }
+    /// Reads and decodes the artifact under `key`, counting the outcome
+    /// for counted kinds. A store miss or any decode failure is a miss
+    /// and leaves `base` untouched.
+    fn lookup<A: Artifact>(&self, key: Digest128, base: &mut A::Base) -> Option<A> {
+        let hit = self.store.get(key).and_then(|s| A::decode(&s, base).ok());
+        if let Some(c) = A::counters(self) {
+            if hit.is_some() { &c.hits } else { &c.misses }.inc();
         }
+        hit
     }
 
-    /// Looks up a characterization artifact. Any store miss or decode
-    /// failure is a cache miss.
+    /// Stores an artifact. Failures are swallowed: the caller keeps the
+    /// value it computed; only warm starts are lost.
+    fn put<A: Artifact>(
+        &self,
+        ctx: &PipelineCtx<'_>,
+        key: Digest128,
+        artifact: &A,
+        base: &mut A::Base,
+    ) {
+        let _ = self.store.put(key, container(ctx, artifact, base));
+    }
+
+    /// The lookup → compute → store spine every cached stage runs
+    /// through: a hit decodes the artifact under `key` (into `base`
+    /// where the kind has one); a miss runs `compute` on the untouched
+    /// `base` and stores what it returns.
+    pub(crate) fn cached<A: Artifact>(
+        &self,
+        ctx: &PipelineCtx<'_>,
+        key: Digest128,
+        base: &mut A::Base,
+        compute: impl FnOnce(&mut A::Base) -> A,
+    ) -> A {
+        if let Some(hit) = self.lookup(key, base) {
+            return hit;
+        }
+        let fresh = compute(base);
+        self.put(ctx, key, &fresh, base);
+        fresh
+    }
+
+    /// Looks up a characterization artifact (counted; any store miss or
+    /// decode failure is a miss).
     #[must_use]
     pub fn lookup_characterization(&self, key: Digest128) -> Option<Characterization> {
-        let decoded = self
-            .store
-            .get(key)
-            .and_then(|s| decode_characterization(&s).ok());
-        self.record(&CHARACTERIZATION_CACHE, decoded)
+        self.lookup(key, &mut ())
     }
 
-    /// Stores a characterization artifact. Failures are swallowed (the
-    /// computed artifact is still returned to the caller; only warm
-    /// starts are lost).
-    pub fn store_characterization(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        key: Digest128,
-        chars: &Characterization,
-    ) {
-        let _ = self.store.put(key, encode_characterization(ctx, chars));
-    }
-
-    /// Looks up a timing artifact. Any store miss or decode failure is
-    /// a cache miss.
+    /// Looks up a timing artifact (counted, as above).
     #[must_use]
     pub fn lookup_timing(&self, key: Digest128) -> Option<WeightTimingProfile> {
-        let decoded = self.store.get(key).and_then(|s| decode_timing(&s).ok());
-        self.record(&TIMING_CACHE, decoded)
+        self.lookup(key, &mut ())
     }
 
-    /// Stores a timing artifact (failures swallowed, as above).
-    pub fn store_timing(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        key: Digest128,
-        profile: &WeightTimingProfile,
-    ) {
-        let _ = self.store.put(key, encode_timing(ctx, profile));
-    }
-
-    /// Looks up a baseline training artifact, rebuilding the
-    /// [`Prepared`] bundle (datasets regenerated, trained state loaded
-    /// bit-exactly). Any store miss or decode failure — including a
-    /// structure mismatch after a model-code change — is a cache miss.
-    #[must_use]
-    pub fn lookup_training(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        kind: NetworkKind,
-        key: Digest128,
-    ) -> Option<Prepared> {
-        let decoded = self
-            .store
-            .get(key)
-            .and_then(|s| decode_training(ctx, kind, &s).ok());
-        self.record(&TRAINING_CACHE, decoded)
-    }
-
-    /// Stores a baseline training artifact (failures swallowed; only
-    /// warm starts are lost). Takes the network mutably because state
-    /// serialization visits parameters through `&mut` hooks.
-    pub fn store_training(&self, ctx: &PipelineCtx<'_>, key: Digest128, prepared: &mut Prepared) {
-        let sections = encode_training(ctx, prepared);
-        let _ = self.store.put(key, sections);
-    }
-
-    /// Looks up a GEMM capture artifact. Any store miss or decode
-    /// failure is a cache miss.
-    #[must_use]
-    pub fn lookup_captures(&self, key: Digest128) -> Option<Vec<GemmCapture>> {
-        let decoded = self.store.get(key).and_then(|s| decode_captures(&s).ok());
-        self.record(&CAPTURES_CACHE, decoded)
-    }
-
-    /// Stores a GEMM capture artifact (failures swallowed, as above).
-    pub fn store_captures(&self, ctx: &PipelineCtx<'_>, key: Digest128, captures: &[GemmCapture]) {
-        let _ = self.store.put(key, encode_captures(ctx, captures));
-    }
-
-    /// Looks up a retrain artifact and, on a hit, loads the post-retrain
-    /// state over `net` bit-exactly, returning the stored test accuracy
-    /// and the exit RNG state (for the caller to resume its stream at
-    /// the position the original retraining left it).
-    ///
-    /// Any store miss or decode failure is a cache miss. A state-load
-    /// failure (e.g. structure skew after a model-code change) restores
-    /// the entering parameters and buffers before reporting the miss, so
-    /// the recompute path never starts from a half-loaded network.
-    #[must_use]
-    pub fn lookup_retrain(&self, net: &mut Network, key: Digest128) -> Option<(f64, [u64; 4])> {
-        let applied = self
-            .store
-            .get(key)
-            .and_then(|s| decode_retrain(&s).ok())
-            .and_then(|artifact| {
-                let params = net.snapshot();
-                let mut buffers: Vec<Vec<f32>> = Vec::new();
-                net.visit_buffers(&mut |b| buffers.push(b.clone()));
-                match nn::serialize::load_state(net, artifact.state.as_slice()) {
-                    Ok(()) => Some((artifact.accuracy, artifact.rng_state)),
-                    Err(_) => {
-                        net.restore(&params);
-                        let mut idx = 0usize;
-                        net.visit_buffers(&mut |b| {
-                            if let Some(saved) = buffers.get(idx) {
-                                b.copy_from_slice(saved);
-                            }
-                            idx += 1;
-                        });
-                        None
-                    }
-                }
-            });
-        self.record(&RETRAIN_CACHE, applied)
-    }
-
-    /// Stores a retrain artifact: the network's post-retrain state, the
-    /// measured accuracy and the exit RNG state (failures swallowed, as
-    /// above). Takes the network mutably because state serialization
-    /// visits parameters through `&mut` hooks.
-    pub fn store_retrain(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        key: Digest128,
-        net: &mut Network,
-        accuracy: f64,
-        rng: &StdRng,
-    ) {
-        let _ = self.store.put(key, encode_retrain(ctx, net, accuracy, rng));
-    }
-
-    /// Looks up a stored request manifest. Deliberately does **not**
-    /// touch the stage hit/miss counters — a manifest answers a whole
-    /// request, not a stage, and the service accounts for requests
-    /// itself.
+    /// Looks up a stored request manifest. Uncounted: see the
+    /// manifest's [`Artifact`] impl.
     #[must_use]
     pub fn lookup_manifest(&self, key: Digest128) -> Option<RequestManifest> {
-        self.store.get(key).and_then(|s| decode_manifest(&s).ok())
+        self.lookup(key, &mut ())
     }
 
     /// Stores a request manifest (failures swallowed; only warm answers
@@ -1147,78 +1114,14 @@ impl CharCache {
         key: Digest128,
         manifest: &RequestManifest,
     ) {
-        let _ = self.store.put(key, encode_manifest(ctx, manifest));
-    }
-
-    /// The lookup → compute → store spine for the baseline-training
-    /// artifact: one code path shared by
-    /// [`crate::pipeline::stages::characterize::PrepareStage`] and the
-    /// characterization service.
-    pub fn cached_training(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        kind: NetworkKind,
-        key: Digest128,
-        compute: impl FnOnce() -> Prepared,
-    ) -> Prepared {
-        if let Some(hit) = self.lookup_training(ctx, kind, key) {
-            return hit;
-        }
-        let mut fresh = compute();
-        self.store_training(ctx, key, &mut fresh);
-        fresh
-    }
-
-    /// The lookup → compute → store spine for the GEMM-capture artifact.
-    pub fn cached_captures(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        key: Digest128,
-        compute: impl FnOnce() -> Vec<GemmCapture>,
-    ) -> Vec<GemmCapture> {
-        if let Some(hit) = self.lookup_captures(key) {
-            return hit;
-        }
-        let fresh = compute();
-        self.store_captures(ctx, key, &fresh);
-        fresh
-    }
-
-    /// The lookup → compute → store spine for the power-characterization
-    /// artifact.
-    pub fn cached_characterization(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        key: Digest128,
-        compute: impl FnOnce() -> Characterization,
-    ) -> Characterization {
-        if let Some(hit) = self.lookup_characterization(key) {
-            return hit;
-        }
-        let fresh = compute();
-        self.store_characterization(ctx, key, &fresh);
-        fresh
-    }
-
-    /// The lookup → compute → store spine for the timing artifact.
-    pub fn cached_timing(
-        &self,
-        ctx: &PipelineCtx<'_>,
-        key: Digest128,
-        compute: impl FnOnce() -> WeightTimingProfile,
-    ) -> WeightTimingProfile {
-        if let Some(hit) = self.lookup_timing(key) {
-            return hit;
-        }
-        let fresh = compute();
-        self.store_timing(ctx, key, &fresh);
-        fresh
+        self.put(ctx, key, manifest, &mut ());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::stages::characterize::untrained_prepared;
     use crate::pipeline::{Pipeline, PipelineConfig, Scale};
 
     fn micro_ctx_pipeline() -> Pipeline {
@@ -1388,8 +1291,8 @@ mod tests {
             captures: 3,
             power_codes: 255,
         };
-        let sections = encode_manifest(&ctx, &manifest);
-        let decoded = decode_manifest(&sections).expect("decode manifest");
+        let sections = container(&ctx, &manifest, &mut ());
+        let decoded = RequestManifest::decode(&sections, &mut ()).expect("decode manifest");
         assert_eq!(decoded, manifest);
         // Provenance rides along and labels the artifact.
         assert!(decode_provenance(&sections)
@@ -1403,8 +1306,8 @@ mod tests {
                 s.bytes.truncate(20);
             }
         }
-        assert!(decode_manifest(&truncated).is_err());
-        assert!(decode_manifest(&[]).is_err());
+        assert!(RequestManifest::decode(&truncated, &mut ()).is_err());
+        assert!(RequestManifest::decode(&[], &mut ()).is_err());
     }
 
     #[test]
@@ -1501,6 +1404,11 @@ mod tests {
     #[test]
     fn retrain_artifact_restores_the_network_bit_exactly() {
         use rand::SeedableRng;
+        let state = |net: &mut Network| {
+            let mut bytes = Vec::new();
+            nn::serialize::save_state(net, &mut bytes).unwrap();
+            bytes
+        };
         let p = micro_ctx_pipeline();
         let ctx = p.ctx();
         let (mut prepared, _) = untrained_prepared(&ctx, NetworkKind::LeNet5);
@@ -1510,12 +1418,14 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CharCache::open(&dir).expect("open cache");
-        let rng_exit = StdRng::seed_from_u64(9);
         let key = training_key(&ctx, NetworkKind::LeNet5);
-
-        let mut stored_state = Vec::new();
-        nn::serialize::save_state(&mut prepared.net, &mut stored_state).unwrap();
-        cache.store_retrain(&ctx, key, &mut prepared.net, 0.75, &rng_exit);
+        let rng_state = StdRng::seed_from_u64(9).state();
+        let stored_state = state(&mut prepared.net);
+        let stored = Retrained {
+            accuracy: 0.75,
+            rng_state,
+        };
+        cache.put(&ctx, key, &stored, &mut prepared.net);
 
         // Perturb every parameter; the hit must restore the stored bits.
         prepared.net.visit_params(&mut |p| {
@@ -1523,21 +1433,42 @@ mod tests {
                 *v += 1.0;
             }
         });
-        let (acc, exit) = cache
-            .lookup_retrain(&mut prepared.net, key)
+        let hit = cache
+            .lookup::<Retrained>(key, &mut prepared.net)
             .expect("stored artifact should hit");
-        assert_eq!(acc.to_bits(), 0.75f64.to_bits());
-        assert_eq!(exit, rng_exit.state());
-        let mut restored = Vec::new();
-        nn::serialize::save_state(&mut prepared.net, &mut restored).unwrap();
+        assert_eq!(hit.accuracy.to_bits(), 0.75f64.to_bits());
+        assert_eq!(hit.rng_state, rng_state);
+        let restored = state(&mut prepared.net);
         assert_eq!(restored, stored_state, "hit did not restore bit-exactly");
 
         // An absent key is a miss and leaves the network untouched.
         let other = timing_key(&ctx, 1.0);
-        assert!(cache.lookup_retrain(&mut prepared.net, other).is_none());
-        let mut after_miss = Vec::new();
-        nn::serialize::save_state(&mut prepared.net, &mut after_miss).unwrap();
-        assert_eq!(after_miss, stored_state);
+        assert!(cache
+            .lookup::<Retrained>(other, &mut prepared.net)
+            .is_none());
+        assert_eq!(state(&mut prepared.net), stored_state);
+
+        // A stored state that does not fit a network of another
+        // structure is a counted miss: compute runs on that network's
+        // unchanged state, and its artifact overwrites the stored one.
+        let classes = prepared.train_data.classes() + 2;
+        let mut wider = nn::models::tiny_cnn("micro", 3, 8, classes, &mut StdRng::seed_from_u64(3));
+        let entering = state(&mut wider);
+        let misses = cache.counters().misses;
+        let _ = cache.cached(&ctx, key, &mut wider, |net| {
+            assert_eq!(state(net), entering, "compute saw a half-loaded network");
+            Retrained {
+                accuracy: 0.5,
+                rng_state: [1, 2, 3, 4],
+            }
+        });
+        assert_eq!(cache.counters().misses, misses + 1);
+        let replaced = cache
+            .lookup::<Retrained>(key, &mut wider)
+            .expect("the recomputed artifact replaced the stored one");
+        assert_eq!(replaced.accuracy.to_bits(), 0.5f64.to_bits());
+        assert_eq!(replaced.rng_state, [1, 2, 3, 4]);
+        assert!(cache.lookup::<Retrained>(key, &mut prepared.net).is_none());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

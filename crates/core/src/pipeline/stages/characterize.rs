@@ -3,6 +3,7 @@
 //! (Fig. 2) and per-weight timing characterization (Fig. 3).
 
 use super::{PipelineCtx, Stage};
+use crate::cache::Trained;
 use crate::chars::{
     characterize_power, characterize_timing, PowerConfig, PsumBinning, TimingConfig,
     WeightTimingProfile,
@@ -71,8 +72,8 @@ fn build_network(
 
 /// The deterministic, cheap part of preparation: generated datasets
 /// plus the untrained network skeleton (quantization-aware, accuracy
-/// zeroed). [`PrepareStage`] trains it; the cache loads a stored
-/// trained state over it instead. The returned RNG is positioned
+/// zeroed). [`PrepareStage`] trains it, or a training-cache hit loads
+/// the stored trained state over it. The returned RNG is positioned
 /// exactly after network construction, so training continues the same
 /// stream the pre-cache implementation used.
 pub(crate) fn untrained_prepared(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> (Prepared, StdRng) {
@@ -109,26 +110,23 @@ impl Stage<NetworkKind> for PrepareStage {
     }
 
     fn run(&self, ctx: &PipelineCtx<'_>, kind: NetworkKind) -> Prepared {
-        let Some(cache) = ctx.cache else {
-            return prepare_uncached(ctx, kind);
+        let (mut prepared, mut rng) = untrained_prepared(ctx, kind);
+        let mut train_and_evaluate = |net: &mut Network| {
+            let config = ctx.cfg.train_config(ctx.cfg.baseline_epochs());
+            let _ = train(net, &prepared.train_data, &config, &mut rng);
+            let accuracy = evaluate(net, &prepared.test_data, 64);
+            Trained { accuracy }
         };
-        let key = crate::cache::training_key(ctx, kind);
-        cache.cached_training(ctx, kind, key, || prepare_uncached(ctx, kind))
+        prepared.accuracy = match ctx.cache {
+            Some(cache) => {
+                let key = crate::cache::training_key(ctx, kind);
+                cache.cached(ctx, key, &mut prepared.net, train_and_evaluate)
+            }
+            None => train_and_evaluate(&mut prepared.net),
+        }
+        .accuracy;
+        prepared
     }
-}
-
-/// The training body shared by the cached and uncached paths of
-/// [`PrepareStage`].
-fn prepare_uncached(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> Prepared {
-    let (mut prepared, mut rng) = untrained_prepared(ctx, kind);
-    let _ = train(
-        &mut prepared.net,
-        &prepared.train_data,
-        &ctx.cfg.train_config(ctx.cfg.baseline_epochs()),
-        &mut rng,
-    );
-    prepared.accuracy = evaluate(&mut prepared.net, &prepared.test_data, 64);
-    prepared
 }
 
 /// Captures the quantized GEMMs of a forward pass over a fixed
@@ -153,7 +151,7 @@ impl Stage<&mut Prepared> for CaptureStage {
             return capture_uncached(ctx, prepared);
         };
         let key = crate::cache::capture_key(ctx, prepared);
-        cache.cached_captures(ctx, key, || capture_uncached(ctx, prepared))
+        cache.cached(ctx, key, &mut (), |_| capture_uncached(ctx, prepared))
     }
 }
 
@@ -188,7 +186,7 @@ impl Stage<&[GemmCapture]> for CharacterizeStage {
             return characterize_uncached(ctx, captures);
         };
         let key = crate::cache::characterization_key(ctx, captures);
-        cache.cached_characterization(ctx, key, || characterize_uncached(ctx, captures))
+        cache.cached(ctx, key, &mut (), |_| characterize_uncached(ctx, captures))
     }
 }
 
@@ -242,7 +240,7 @@ impl Stage<f64> for TimingStage {
             return timing_uncached(ctx, slow_floor_ps);
         };
         let key = crate::cache::timing_key(ctx, slow_floor_ps);
-        cache.cached_timing(ctx, key, || timing_uncached(ctx, slow_floor_ps))
+        cache.cached(ctx, key, &mut (), |_| timing_uncached(ctx, slow_floor_ps))
     }
 }
 

@@ -3,14 +3,14 @@
 //! retraining helper both sweeps use.
 
 use super::{PipelineCtx, Stage};
-use crate::cache::{retrain_key, RetrainMode};
+use crate::cache::{retrain_key, RetrainMode, Retrained};
 use crate::chars::{WeightPowerProfile, WeightTimingProfile};
 use crate::pipeline::Prepared;
-use crate::retrain::{prune_retrain, restricted_retrain};
+use crate::retrain::{install_restrictions, prune_retrain, restricted_retrain};
 use crate::select::delay::{select_by_delay, DelaySelectionConfig};
 use crate::select::power::{select_by_power, threshold_for_count};
 use crate::select::{DelaySelection, PowerSelection};
-use nn::quant::ValueSet;
+use nn::model::Network;
 use rand::rngs::StdRng;
 
 /// Weight selection by power threshold, targeting a weight-value count.
@@ -122,58 +122,11 @@ pub fn cached_restricted_retrain(
     activations: Option<&[i32]>,
     rng: &mut StdRng,
 ) -> f64 {
-    let retrain_cfg = ctx.cfg.retrain_config();
-    let Some(cache) = ctx.cache else {
-        return restricted_retrain(
-            &mut prepared.net,
-            &prepared.train_data,
-            &prepared.test_data,
-            weights,
-            activations,
-            &retrain_cfg,
-            rng,
-        );
-    };
-    let key = retrain_key(
-        ctx,
-        &mut prepared.net,
-        RetrainMode::Restricted {
-            weights,
-            activations,
-        },
-        &retrain_cfg,
-        rng,
-    );
-    // The stored state covers parameters and buffers only; the
-    // restrictions must be installed here exactly as the compute path
-    // installs them, so a hit leaves the network indistinguishable from
-    // a recompute.
-    prepared.net.quantize = true;
-    if let Some(w) = weights {
-        prepared
-            .net
-            .set_weight_restriction(Some(ValueSet::new(w.iter().copied())));
-    }
-    if let Some(a) = activations {
-        prepared
-            .net
-            .set_activation_restriction(Some(ValueSet::new(a.iter().copied())));
-    }
-    if let Some((acc, exit_rng)) = cache.lookup_retrain(&mut prepared.net, key) {
-        *rng = StdRng::from_state(exit_rng);
-        return acc;
-    }
-    let acc = restricted_retrain(
-        &mut prepared.net,
-        &prepared.train_data,
-        &prepared.test_data,
+    let mode = RetrainMode::Restricted {
         weights,
         activations,
-        &retrain_cfg,
-        rng,
-    );
-    cache.store_retrain(ctx, key, &mut prepared.net, acc, rng);
-    acc
+    };
+    cached_retrain(ctx, prepared, mode, rng)
 }
 
 /// Cache-aware conventional pruning baseline: [`prune_retrain`] behind
@@ -185,39 +138,47 @@ pub fn cached_prune_retrain(
     sparsity: f64,
     rng: &mut StdRng,
 ) -> f64 {
-    let retrain_cfg = ctx.cfg.retrain_config();
-    let Some(cache) = ctx.cache else {
-        return prune_retrain(
-            &mut prepared.net,
-            &prepared.train_data,
-            &prepared.test_data,
-            sparsity,
-            &retrain_cfg,
-            rng,
-        );
+    cached_retrain(ctx, prepared, RetrainMode::Prune { sparsity }, rng)
+}
+
+/// The retraining `mode` names, through the retrain cache when one is
+/// attached.
+fn cached_retrain(
+    ctx: &PipelineCtx<'_>,
+    prepared: &mut Prepared,
+    mode: RetrainMode<'_>,
+    rng: &mut StdRng,
+) -> f64 {
+    let cfg = ctx.cfg.retrain_config();
+    let (train, test) = (&prepared.train_data, &prepared.test_data);
+    let retrain = |net: &mut Network, rng: &mut StdRng| match mode {
+        RetrainMode::Prune { sparsity } => prune_retrain(net, train, test, sparsity, &cfg, rng),
+        RetrainMode::Restricted {
+            weights,
+            activations,
+        } => restricted_retrain(net, train, test, weights, activations, &cfg, rng),
     };
-    let key = retrain_key(
-        ctx,
-        &mut prepared.net,
-        RetrainMode::Prune { sparsity },
-        &retrain_cfg,
-        rng,
-    );
-    prepared.net.quantize = true;
-    if let Some((acc, exit_rng)) = cache.lookup_retrain(&mut prepared.net, key) {
-        *rng = StdRng::from_state(exit_rng);
-        return acc;
+    let net = &mut prepared.net;
+    let Some(cache) = ctx.cache else {
+        return retrain(net, rng);
+    };
+    let key = retrain_key(ctx, net, mode, &cfg, rng);
+    // The stored state covers parameters and buffers only; set up the
+    // network exactly as the compute path does before it trains, so a
+    // hit leaves it indistinguishable from a recompute.
+    match mode {
+        RetrainMode::Prune { .. } => net.quantize = true,
+        RetrainMode::Restricted {
+            weights,
+            activations,
+        } => install_restrictions(net, weights, activations),
     }
-    let acc = prune_retrain(
-        &mut prepared.net,
-        &prepared.train_data,
-        &prepared.test_data,
-        sparsity,
-        &retrain_cfg,
-        rng,
-    );
-    cache.store_retrain(ctx, key, &mut prepared.net, acc, rng);
-    acc
+    let retrained = cache.cached(ctx, key, net, |net| Retrained {
+        accuracy: retrain(net, rng),
+        rng_state: rng.state(),
+    });
+    *rng = StdRng::from_state(retrained.rng_state);
+    retrained.accuracy
 }
 
 /// Retrains with the given restriction sets, giving the selection one

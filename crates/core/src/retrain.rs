@@ -40,6 +40,23 @@ impl Default for RetrainConfig {
     }
 }
 
+/// Switches `net` to quantization-aware mode and installs the given
+/// restriction sets; `None` leaves the corresponding restriction
+/// unchanged.
+pub(crate) fn install_restrictions(
+    net: &mut Network,
+    weights: Option<&[i32]>,
+    activations: Option<&[i32]>,
+) {
+    net.quantize = true;
+    if let Some(w) = weights {
+        net.set_weight_restriction(Some(ValueSet::new(w.iter().copied())));
+    }
+    if let Some(a) = activations {
+        net.set_activation_restriction(Some(ValueSet::new(a.iter().copied())));
+    }
+}
+
 /// Installs the given restriction sets, retrains quantization-aware, and
 /// returns the resulting test accuracy.
 ///
@@ -54,13 +71,7 @@ pub fn restricted_retrain(
     cfg: &RetrainConfig,
     rng: &mut StdRng,
 ) -> f64 {
-    net.quantize = true;
-    if let Some(w) = weights {
-        net.set_weight_restriction(Some(ValueSet::new(w.iter().copied())));
-    }
-    if let Some(a) = activations {
-        net.set_activation_restriction(Some(ValueSet::new(a.iter().copied())));
-    }
+    install_restrictions(net, weights, activations);
     let _ = train(net, train_data, &cfg.train, rng);
     evaluate(net, test_data, cfg.eval_batch)
 }

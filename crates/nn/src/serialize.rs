@@ -169,39 +169,51 @@ fn reject_trailing<R: Read>(r: &mut R, what: &str) -> io::Result<()> {
     Ok(())
 }
 
-/// Assigns decoded tensors to `net`'s parameters, enforcing a 1:1
-/// shape-exact match.
-fn assign_params(net: &mut Network, tensors: &[Tensor]) -> io::Result<()> {
-    let count = tensors.len();
-    let mut idx = 0usize;
-    let mut mismatch: Option<String> = None;
-    net.visit_params(&mut |p| {
-        if mismatch.is_some() {
-            return;
-        }
-        match tensors.get(idx) {
-            Some(t) if t.shape() == p.value.shape() => {
-                p.value = t.clone();
-            }
-            Some(t) => {
-                mismatch = Some(format!(
-                    "parameter {idx} shape {:?} != file shape {:?}",
-                    p.value.shape(),
-                    t.shape()
-                ));
-            }
-            None => mismatch = Some(format!("file has only {count} tensors")),
-        }
-        idx += 1;
-    });
-    if let Some(msg) = mismatch {
-        return Err(invalid(msg));
-    }
-    if idx != count {
+/// Loads decoded parameters, and for a state file its buffers, into
+/// `net`: all or nothing. Every parameter shape and buffer length is
+/// checked before the first assignment, so a file that does not fit
+/// leaves `net` exactly as it was.
+fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: Option<&[Vec<f32>]>) -> io::Result<()> {
+    let mut shapes: Vec<Vec<usize>> = Vec::new();
+    net.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
+    if shapes.len() != tensors.len() {
         return Err(invalid(format!(
-            "file has {count} tensors, network has {idx} parameters"
+            "file has {} tensors, network has {} parameters",
+            tensors.len(),
+            shapes.len()
         )));
     }
+    for (idx, (shape, t)) in shapes.iter().zip(&tensors).enumerate() {
+        if shape[..] != *t.shape() {
+            return Err(invalid(format!(
+                "parameter {idx} shape {shape:?} != file shape {:?}",
+                t.shape()
+            )));
+        }
+    }
+    if let Some(buffers) = buffers {
+        let mut lens: Vec<usize> = Vec::new();
+        net.visit_buffers(&mut |b| lens.push(b.len()));
+        if lens.len() != buffers.len() {
+            return Err(invalid(format!(
+                "file has {} buffers, network has {} buffers",
+                buffers.len(),
+                lens.len()
+            )));
+        }
+        for (idx, (&len, decoded)) in lens.iter().zip(buffers).enumerate() {
+            if len != decoded.len() {
+                return Err(invalid(format!(
+                    "buffer {idx} length {len} != file length {}",
+                    decoded.len()
+                )));
+            }
+        }
+        let mut decoded = buffers.iter();
+        net.visit_buffers(&mut |b| b.copy_from_slice(decoded.next().expect("counts checked")));
+    }
+    let mut tensors = tensors.into_iter();
+    net.visit_params(&mut |p| p.value = tensors.next().expect("counts checked"));
     Ok(())
 }
 
@@ -212,7 +224,9 @@ fn assign_params(net: &mut Network, tensors: &[Tensor]) -> io::Result<()> {
 /// rank and shape fields are bounded *before* any allocation (a
 /// corrupted count can never trigger a huge `Vec::with_capacity`),
 /// payload buffers grow only as bytes actually arrive, and trailing
-/// bytes after the last tensor are rejected.
+/// bytes after the last tensor are rejected. Nothing is assigned until
+/// the whole file has decoded and every shape matches, so on any error
+/// `net` is left untouched.
 ///
 /// # Errors
 ///
@@ -227,7 +241,7 @@ pub fn load_weights<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
     }
     let tensors = read_tensors(&mut r)?;
     reject_trailing(&mut r, "tensor")?;
-    assign_params(net, &tensors)
+    assign(net, tensors, None)
 }
 
 /// Reads a full network state written by [`save_state`] into `net`,
@@ -235,7 +249,8 @@ pub fn load_weights<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
 /// same buffer layout).
 ///
 /// Hardened exactly like [`load_weights`]; buffer counts and lengths
-/// are bounded before allocation too.
+/// are bounded before allocation too. Like [`load_weights`], it loads
+/// all or nothing: on any error `net` is left untouched.
 ///
 /// # Errors
 ///
@@ -270,39 +285,7 @@ pub fn load_state<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
         buffers.push(read_f32_payload(&mut r, len, &format!("buffer {idx}"))?);
     }
     reject_trailing(&mut r, "buffer")?;
-
-    assign_params(net, &tensors)?;
-    let count = buffers.len();
-    let mut idx = 0usize;
-    let mut mismatch: Option<String> = None;
-    net.visit_buffers(&mut |b| {
-        if mismatch.is_some() {
-            return;
-        }
-        match buffers.get(idx) {
-            Some(decoded) if decoded.len() == b.len() => {
-                b.copy_from_slice(decoded);
-            }
-            Some(decoded) => {
-                mismatch = Some(format!(
-                    "buffer {idx} length {} != file length {}",
-                    b.len(),
-                    decoded.len()
-                ));
-            }
-            None => mismatch = Some(format!("file has only {count} buffers")),
-        }
-        idx += 1;
-    });
-    if let Some(msg) = mismatch {
-        return Err(invalid(msg));
-    }
-    if idx != count {
-        return Err(invalid(format!(
-            "file has {count} buffers, network has {idx} buffers"
-        )));
-    }
-    Ok(())
+    assign(net, tensors, Some(&buffers))
 }
 
 /// Encodes a capture trace — the quantized GEMM operand streams of one
@@ -403,6 +386,19 @@ mod tests {
         save_weights(&mut a, &mut buf).expect("save");
         let mut b = models::tiny_cnn("b", 1, 8, 5, &mut StdRng::seed_from_u64(4));
         assert!(load_weights(&mut b, buf.as_slice()).is_err());
+
+        // A rejected state load leaves the target untouched, although
+        // every parameter before the classifier would fit.
+        let mut state = Vec::new();
+        save_state(&mut a, &mut state).expect("save state");
+        let mut target = models::tiny_cnn("b", 1, 8, 5, &mut StdRng::seed_from_u64(5));
+        let mut before = Vec::new();
+        save_state(&mut target, &mut before).expect("save state");
+        assert!(load_state(&mut target, state.as_slice()).is_err());
+        assert!(load_weights(&mut target, buf.as_slice()).is_err());
+        let mut after = Vec::new();
+        save_state(&mut target, &mut after).expect("save state");
+        assert_eq!(after, before, "a rejected load changed the network");
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! `ARTIFACT_ALGO_VERSION`, so a change to what a stage computes for
 //! unchanged inputs must bump that constant, or warm stores keep serving
 //! artifacts the new code would not produce. This test runs the cold
-//! Micro pipeline (prepare, capture, characterize, timing) and one
-//! restricted retraining through a fresh store, then compares each stage
-//! key and the digest of each stored artifact's payload sections against
-//! the values below. The provenance section is left out of the content
-//! digest: it records the creation time and crate version, not the
-//! computation.
+//! Micro pipeline (prepare, capture, characterize, timing), the request
+//! manifest and one restricted retraining through a fresh store, then
+//! compares each stage key and the digest of each stored artifact's
+//! payload sections against the values below. The provenance section
+//! is left out of the content digest: it records the creation time and
+//! crate version, not the computation.
 //!
 //! Kernel rewrites that claim bit-identical output (the GEMMs, im2col,
 //! the quantizers) must pass this test unchanged. A deliberate change
@@ -28,7 +28,7 @@ use rand::SeedableRng;
 const PROVENANCE_SECTION: u32 = 1;
 
 /// `(name, hex digest)` pairs recorded from a cold Micro run.
-const PINNED: [(&str, &str); 11] = [
+const PINNED: [(&str, &str); 12] = [
     ("key.training", "2fc26c5a2a7aeb5e68d2bf46b966dd2a"),
     ("key.capture", "2c81877e336934c3098ce48bc0e00b13"),
     ("key.characterization", "e0230cc57f39be443d9906ab128db1cf"),
@@ -43,6 +43,7 @@ const PINNED: [(&str, &str); 11] = [
     ),
     ("content.timing", "5bacc6fc9066f8c4d58a8e3bf1deaf16"),
     ("content.retrain", "6fa43e715c182b7817d3557a4fa0aff4"),
+    ("content.manifest", "3c8e1247348f44f391e709fe4c2e9a0e"),
 ];
 
 /// Digest of a stored artifact's payload: every section but the
@@ -93,6 +94,7 @@ fn micro_stage_keys_and_artifacts_match_their_pins() {
     let _ = p.characterize(&captures);
     let timing = cache::timing_key(&ctx, f64::MAX);
     let _ = p.characterize_timing(f64::MAX);
+    let request = p.characterization_request(kind).request_key;
 
     let allowed: Vec<i32> = vec![-64, -32, -16, -8, -4, -2, 0, 2, 4, 8, 16, 32, 64];
     let mut rng = StdRng::seed_from_u64(0x51);
@@ -116,6 +118,7 @@ fn micro_stage_keys_and_artifacts_match_their_pins() {
         ),
         ("content.timing", content_digest(store, timing)),
         ("content.retrain", content_digest(store, retrain)),
+        ("content.manifest", content_digest(store, request)),
     ];
     let _ = std::fs::remove_dir_all(&dir);
 
