@@ -1,6 +1,6 @@
-//! Criterion benches for the ablation axes of DESIGN.md §7: how the
-//! runtime of each stage scales with its governing parameter (bin
-//! count, restart count, transition sample count).
+//! Criterion benches for the ablation axes of `src/bin/ablations.rs`:
+//! how the runtime of each stage scales with its governing parameter
+//! (bin count, restart count, transition sample count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use powerpruning::chars::{characterize_power, MacHardware, PowerConfig, PsumBinning};

@@ -1,4 +1,4 @@
-//! Quality ablations for the design choices called out in DESIGN.md §7:
+//! Quality ablations for three design choices of the flow:
 //!
 //! * partial-sum bin count (10/50/200) vs characterization stability,
 //! * randomized-removal restart count (1/5/20) vs achieved value counts,

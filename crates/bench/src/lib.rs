@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4); the Criterion benches in `benches/`
-//! measure the runtime of the underlying kernels and the scaling of the
-//! design choices called out for ablation.
+//! paper (see the README's paper-section → module map); the Criterion
+//! benches in `benches/` measure the runtime of the underlying kernels
+//! and the scaling of the design choices called out for ablation.
 
 use powerpruning::pipeline::{PipelineConfig, Scale};
 

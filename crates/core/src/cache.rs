@@ -398,7 +398,7 @@ fn network_restriction_digest(net: &mut Network) -> Digest128 {
 /// The cache key of the GEMM capture artifact produced by the
 /// pipeline's capture stage.
 ///
-/// Commits to the complete network state ([`network_state_digest`] over
+/// Commits to the complete network state (`network_state_digest` over
 /// parameters and buffers), the installed value-set restrictions and
 /// quantizer ranges, and the exact input batch the captures stream
 /// (shape and `f32` bits of the test-set head). The capture forward
@@ -463,7 +463,7 @@ fn value_codes_digest(codes: &[i32]) -> Digest128 {
 /// applied to the sweeps' inner loops.
 ///
 /// A retraining run is a pure function of the **entering** network state
-/// ([`network_state_digest`] over parameters and buffers, plus the
+/// (`network_state_digest` over parameters and buffers, plus the
 /// already-installed restriction sets and quantizer ranges), the
 /// requested mode (sparsity for the pruned baseline; the weight and
 /// activation value sets for restricted retraining), every optimizer
@@ -1099,8 +1099,9 @@ impl CharCache {
         self.lookup(key, &mut ())
     }
 
-    /// Looks up a stored request manifest. Uncounted: see the
-    /// manifest's [`Artifact`] impl.
+    /// Looks up a stored request manifest. Uncounted: a manifest
+    /// answers a whole request, not a stage, and the service accounts
+    /// for requests itself.
     #[must_use]
     pub fn lookup_manifest(&self, key: Digest128) -> Option<RequestManifest> {
         self.lookup(key, &mut ())

@@ -14,9 +14,7 @@ pub mod timing;
 
 pub use bins::PsumBinning;
 pub use power::{
-    characterize_power, characterize_power_batched, characterize_power_batched_with_threads,
-    characterize_power_scalar, characterize_power_unpruned,
-    characterize_power_unpruned_with_threads, characterize_power_with_threads, strided_codes,
+    characterize_power, characterize_power_scalar, characterize_power_with_threads, strided_codes,
     PowerConfig, WeightPowerProfile,
 };
 pub use timing::{
@@ -111,7 +109,7 @@ impl MacHardware {
     }
 
     /// Builds a MAC with an explicit multiplier micro-architecture
-    /// (the hardware ablation of DESIGN.md §7).
+    /// (the hardware ablation of the `ablation_multiplier` bench binary).
     ///
     /// # Panics
     ///

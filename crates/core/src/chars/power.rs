@@ -11,13 +11,13 @@
 //! weight's sample stream is chunked into blocks of 64 stimulus
 //! vectors, packed one `u64` lane per net, and simulated word-wide —
 //! composing with the per-code thread fan-out so threads × bit-lanes
-//! multiply. The batched ([`characterize_power_batched`]) and scalar
-//! ([`characterize_power_scalar`]) paths are kept as bit-exact
-//! references and bench baselines; all three produce **identical**
-//! profiles, energies included.
+//! multiply. The scalar path ([`characterize_power_scalar`]) is kept as
+//! the bit-exact oracle of the test suite and the baseline of the
+//! throughput bench; both produce **identical** profiles, energies
+//! included.
 
 use crate::chars::{CharConfigError, MacHardware, PsumBinning};
-use gatesim::{BatchAccumulator, BatchSim, BitSim, PrunePlan, Simulator};
+use gatesim::{BitSim, PrunePlan, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use systolic::stats::TransitionStats;
@@ -231,9 +231,9 @@ impl WeightPowerProfile {
 }
 
 /// The weight codes actually simulated under a stride configuration:
-/// every `stride`-th code plus the two extremes. Shared by the
-/// bit-parallel, batched and scalar characterization paths, and by the
-/// throughput bench to count simulated codes.
+/// every `stride`-th code plus the two extremes. Shared by every power
+/// and timing characterization path, and by the throughput bench to
+/// count simulated codes.
 ///
 /// # Panics
 ///
@@ -248,6 +248,19 @@ pub fn strided_codes(all_codes: &[i32], stride: usize) -> Vec<i32> {
         .copied()
         .filter(|&c| c % stride == 0 || c == min_code || c == max_code)
         .collect()
+}
+
+/// Index of the code in `codes` (ascending, non-empty) nearest to
+/// `code`; a tie goes to the lower code. Strided characterization hands
+/// each skipped code the result of this neighbour.
+pub(crate) fn nearest_code_index(codes: &[i32], code: i32) -> usize {
+    match codes.binary_search(&code) {
+        Ok(i) => i,
+        Err(0) => 0,
+        Err(i) if i == codes.len() => i - 1,
+        Err(i) if code - codes[i - 1] <= codes[i] - code => i - 1,
+        Err(i) => i,
+    }
 }
 
 /// The per-code RNG for power characterization. Derived from the
@@ -268,8 +281,8 @@ fn code_rng(cfg: &PowerConfig, code_idx: usize) -> StdRng {
 /// bus is pinned, constant propagation proves the weight's dead cone
 /// silent, and only the live cone is simulated. Pruning is exact
 /// (pruned gates provably never toggle), so the profile is
-/// bit-identical to [`characterize_power_unpruned`] and to the batched
-/// and scalar references.
+/// bit-identical to the unpinned scalar reference
+/// [`characterize_power_scalar`].
 ///
 /// # Panics
 ///
@@ -301,58 +314,6 @@ pub fn characterize_power_with_threads(
     cfg: &PowerConfig,
     threads: Option<usize>,
 ) -> WeightPowerProfile {
-    power_bitsim_impl(hw, act_stats, binning, cfg, threads, true)
-}
-
-/// The bit-parallel characterization loop *without* the per-code prune
-/// plan: every gate simulated, exactly the hot path before interval
-/// pruning landed. Kept as the A/B baseline for the
-/// `bench_characterization` `power_pruned` speedup measurement and as a
-/// bit-identity witness in tests.
-///
-/// # Panics
-///
-/// Panics if `act_stats` has no recorded transitions or the
-/// configuration fails [`PowerConfig::validate`].
-#[must_use]
-pub fn characterize_power_unpruned(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-) -> WeightPowerProfile {
-    power_bitsim_impl(hw, act_stats, binning, cfg, None, false)
-}
-
-/// [`characterize_power_unpruned`] with an explicit worker-thread count
-/// (`None` uses the machine's available parallelism). The
-/// `bench_characterization` pruning A/B runs both arms on one thread so
-/// the comparison measures per-sample simulation cost, not scheduler
-/// noise across the per-code fan-out.
-///
-/// # Panics
-///
-/// Panics if `act_stats` has no recorded transitions or the
-/// configuration fails [`PowerConfig::validate`].
-#[must_use]
-pub fn characterize_power_unpruned_with_threads(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-    threads: Option<usize>,
-) -> WeightPowerProfile {
-    power_bitsim_impl(hw, act_stats, binning, cfg, threads, false)
-}
-
-fn power_bitsim_impl(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-    threads: Option<usize>,
-    pruned: bool,
-) -> WeightPowerProfile {
     if let Err(e) = cfg.validate() {
         panic!("invalid PowerConfig: {e}");
     }
@@ -380,12 +341,8 @@ fn power_bitsim_impl(
             // weight's dead cone silent and the engine never visits it.
             // The plan pass is microseconds against thousands of
             // simulated transitions per code.
-            let mut sim = if pruned {
-                let plan = PrunePlan::new(hw.mac().netlist(), hw.lib(), &hw.mac_weight_pins(code));
-                BitSim::with_plan(hw.mac().netlist(), hw.lib(), &plan)
-            } else {
-                BitSim::new(hw.mac().netlist(), hw.lib())
-            };
+            let plan = PrunePlan::new(hw.mac().netlist(), hw.lib(), &hw.mac_weight_pins(code));
+            let mut sim = BitSim::with_plan(hw.mac().netlist(), hw.lib(), &plan);
             let mut rng = code_rng(cfg, idx);
             let acts = act_stats.sample_activation_transitions(cfg.samples_per_weight, &mut rng);
             let psums = binning.sample_transitions(cfg.samples_per_weight, &mut rng);
@@ -429,88 +386,11 @@ fn power_bitsim_impl(
     expand_profile(cfg, &all_codes, &codes, &energy_fj)
 }
 
-/// The characterization loop on the batched [`BatchSim`] engine: one
-/// stimulus vector per settle/transition, allocation-free. This was the
-/// hot path before the bit-parallel engine; it is kept as a bit-exact
-/// reference and as the baseline the `bench_characterization` speedup
-/// targets are measured against.
-///
-/// Produces **bit-identical** profiles to [`characterize_power`].
-///
-/// # Panics
-///
-/// Panics if `act_stats` has no recorded transitions or the
-/// configuration fails [`PowerConfig::validate`].
-#[must_use]
-pub fn characterize_power_batched(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-) -> WeightPowerProfile {
-    characterize_power_batched_with_threads(hw, act_stats, binning, cfg, None)
-}
-
-/// [`characterize_power_batched`] with an explicit worker-thread count
-/// (`None` uses the machine's available parallelism).
-///
-/// # Panics
-///
-/// Panics if `act_stats` has no recorded transitions or the
-/// configuration fails [`PowerConfig::validate`].
-#[must_use]
-pub fn characterize_power_batched_with_threads(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-    threads: Option<usize>,
-) -> WeightPowerProfile {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid PowerConfig: {e}");
-    }
-    let all_codes = hw.weight_codes();
-    let codes = strided_codes(&all_codes, cfg.weight_stride);
-    let mut energy_fj = vec![0.0f64; codes.len()];
-
-    parallel::par_rows_mut_with_threads(
-        threads.unwrap_or_else(parallel::max_threads),
-        &mut energy_fj,
-        1,
-        || {
-            (
-                BatchSim::new(hw.mac().netlist(), hw.lib()),
-                Vec::new(),
-                Vec::new(),
-            )
-        },
-        |(sim, from, to), idx, slot| {
-            let code = codes[idx];
-            let mut rng = code_rng(cfg, idx);
-            let acts = act_stats.sample_activation_transitions(cfg.samples_per_weight, &mut rng);
-            let psums = binning.sample_transitions(cfg.samples_per_weight, &mut rng);
-            let mut acc = BatchAccumulator::new(sim.netlist().outputs().len());
-            for ((af, at), (pf, pt)) in acts.iter().zip(&psums) {
-                hw.mac()
-                    .encode_into(code as i64, *af as u64, *pf as i64, from);
-                hw.mac()
-                    .encode_into(code as i64, *at as u64, *pt as i64, to);
-                sim.settle(from);
-                acc.record(&sim.transition(to));
-            }
-            slot[0] =
-                acc.total_energy_fj() / cfg.samples_per_weight as f64 + cfg.baseline_fj_per_cycle;
-        },
-    );
-
-    expand_profile(cfg, &all_codes, &codes, &energy_fj)
-}
-
 /// Reference implementation of the characterization loop on the scalar
 /// [`Simulator`]: one allocation-heavy `settle`/`transition` round-trip
-/// per sample, exactly as the flow ran before the batched engine
-/// existed. Kept for differential testing and as the baseline of the
-/// characterization-throughput bench.
+/// per sample, with no weight pins. Kept as the oracle of the test
+/// suite, which holds [`characterize_power`] to it bit for bit, and as
+/// the baseline of the characterization-throughput bench.
 ///
 /// Produces **bit-identical** profiles to [`characterize_power`].
 ///
@@ -567,23 +447,7 @@ fn expand_profile(
 ) -> WeightPowerProfile {
     let full_energy: Vec<f64> = all_codes
         .iter()
-        .map(|&c| {
-            let idx = match codes.binary_search(&c) {
-                Ok(i) => i,
-                Err(i) => {
-                    if i == 0 {
-                        0
-                    } else if i >= codes.len() {
-                        codes.len() - 1
-                    } else if (c - codes[i - 1]).abs() <= (codes[i] - c).abs() {
-                        i - 1
-                    } else {
-                        i
-                    }
-                }
-            };
-            energy_fj[idx]
-        })
+        .map(|&c| energy_fj[nearest_code_index(codes, c)])
         .collect();
     let power_uw: Vec<f64> = full_energy
         .iter()
@@ -686,8 +550,9 @@ mod tests {
 
     #[test]
     fn all_three_engines_produce_identical_profiles() {
-        // The BitSim hot path and the BatchSim reference must both be
-        // bit-identical to the scalar Simulator path, energies included.
+        // The BitSim hot path, with the weight bus pinned per code, must
+        // be bit-identical to the unpinned scalar Simulator path,
+        // energies included.
         let hw = MacHardware::small();
         let (stats, binning) = fake_stats();
         let cfg = PowerConfig {
@@ -695,23 +560,8 @@ mod tests {
             ..quick_cfg()
         };
         let bitsim = characterize_power(&hw, &stats, &binning, &cfg);
-        let batched = characterize_power_batched(&hw, &stats, &binning, &cfg);
         let scalar = characterize_power_scalar(&hw, &stats, &binning, &cfg);
         assert_eq!(bitsim, scalar);
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn pruned_profile_is_bit_identical_to_unpruned() {
-        // The per-code prune plan only removes gates it proved can
-        // never toggle with the weight bus held, so the profile must
-        // match the all-gates run to the last f64 bit.
-        let hw = MacHardware::small();
-        let (stats, binning) = fake_stats();
-        let cfg = quick_cfg();
-        let pruned = characterize_power(&hw, &stats, &binning, &cfg);
-        let unpruned = characterize_power_unpruned(&hw, &stats, &binning, &cfg);
-        assert_eq!(pruned, unpruned);
     }
 
     #[test]

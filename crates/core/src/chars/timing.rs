@@ -13,6 +13,7 @@
 //! `max_j (dta_arrival[j] + sta_from_product[j])` — Fig. 5 — with the
 //! partial-sum STA path as a weight-independent floor.
 
+use crate::chars::power::{nearest_code_index, strided_codes};
 use crate::chars::{CharConfigError, MacHardware};
 use gatesim::{BatchSim, PrunePlan, Simulator, Sta};
 use rand::rngs::StdRng;
@@ -166,8 +167,9 @@ impl WeightTimingProfile {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on truncation or implausible lengths (bounds are
-    /// validated before any allocation).
+    /// `InvalidData` on truncation, implausible lengths (bounds are
+    /// validated before any allocation), or per-weight codes that are
+    /// not strictly ascending (the lookup invariant).
     pub fn read_from(r: &mut charstore::wire::Reader<'_>) -> std::io::Result<Self> {
         let count = r.bounded_len(12)?;
         let mut per_weight = Vec::with_capacity(count);
@@ -194,6 +196,11 @@ impl WeightTimingProfile {
                 slow,
             });
         }
+        if !per_weight.windows(2).all(|w| w[0].code < w[1].code) {
+            return Err(charstore::wire::invalid(
+                "timing profile codes are not ascending",
+            ));
+        }
         let psum_floor_ps = r.f64()?;
         let adder_len = r.bounded_len(8)?;
         let mut adder_from_product_ps = Vec::with_capacity(adder_len);
@@ -210,8 +217,9 @@ impl WeightTimingProfile {
     }
 }
 
-/// Adder-side STA facts shared by the batched and scalar paths: the
-/// product-bit → output delay table and the psum-path floor.
+/// Adder-side STA facts shared by the batched and scalar paths and by
+/// [`sta_bound_per_weight`]: the product-bit → output delay table and
+/// the psum-path floor.
 fn adder_sta(hw: &MacHardware) -> (Vec<f64>, f64) {
     // STA on the MAC netlist: product bits and psum ports only feed the
     // adder, so these are adder-side delays.
@@ -334,7 +342,7 @@ pub fn characterize_timing_with_threads(
     }
     let (adder_from_product_ps, psum_floor_ps) = adder_sta(hw);
     let all_codes = hw.weight_codes();
-    let codes = super::power::strided_codes(&all_codes, cfg.weight_stride);
+    let codes = strided_codes(&all_codes, cfg.weight_stride);
     let levels = hw.act_levels() as u32;
     let mut per_weight: Vec<WeightTiming> = codes
         .iter()
@@ -414,7 +422,7 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
     }
     let (adder_from_product_ps, psum_floor_ps) = adder_sta(hw);
     let all_codes = hw.weight_codes();
-    let codes = super::power::strided_codes(&all_codes, cfg.weight_stride);
+    let codes = strided_codes(&all_codes, cfg.weight_stride);
     let levels = hw.act_levels() as u32;
     let mut per_weight: Vec<WeightTiming> = codes
         .iter()
@@ -485,21 +493,7 @@ fn expand_timing(
     let expanded: Vec<WeightTiming> = all_codes
         .iter()
         .map(|&c| {
-            let idx = match codes.binary_search(&c) {
-                Ok(i) => i,
-                Err(i) => {
-                    if i == 0 {
-                        0
-                    } else if i >= codes.len() {
-                        codes.len() - 1
-                    } else if (c - codes[i - 1]).abs() <= (codes[i] - c).abs() {
-                        i - 1
-                    } else {
-                        i
-                    }
-                }
-            };
-            let mut t = per_weight[idx].clone();
+            let mut t = per_weight[nearest_code_index(codes, c)].clone();
             t.code = c;
             t
         })
@@ -545,13 +539,7 @@ pub fn sta_bound_per_weight(hw: &MacHardware, code: i32) -> f64 {
         .collect();
     let spec = specialize(mult, &assignments);
 
-    // Adder-side table from the full MAC.
-    let sta_mac = Sta::new(hw.mac().netlist(), hw.lib());
-    let adder_from_product: Vec<f64> = sta_mac
-        .output_delay_table(hw.mac().product_nets())
-        .into_iter()
-        .map(|d| d.unwrap_or(0.0))
-        .collect();
+    let (adder_from_product, _) = adder_sta(hw);
 
     // Multiplier-side arrivals on the specialized netlist.
     let sta_spec = Sta::new(&spec.netlist, hw.lib());
@@ -765,6 +753,42 @@ mod tests {
             let total: u64 = t.histogram.iter().sum();
             assert_eq!(total, expected, "weight {}", t.code);
         }
+    }
+
+    #[test]
+    fn decoder_rejects_codes_out_of_order() {
+        // `timing`, `max_delay_over` and `max_delay_ps` binary-search the
+        // per-weight codes, so a profile decoded out of order would
+        // answer with the psum floor or panic instead of failing here.
+        let weight = |code, max_delay_ps| WeightTiming {
+            code,
+            max_delay_ps,
+            histogram: vec![0; 4],
+            slow: Vec::new(),
+        };
+        let mut profile = WeightTimingProfile {
+            per_weight: vec![weight(5, 190.0), weight(1, 120.0), weight(3, 150.0)],
+            psum_floor_ps: 60.0,
+            adder_from_product_ps: vec![10.0; 4],
+            slow_floor_ps: 0.0,
+        };
+        let decode = |p: &WeightTimingProfile| {
+            let mut bytes = Vec::new();
+            p.write_to(&mut bytes);
+            WeightTimingProfile::read_from(&mut charstore::wire::Reader::new(&bytes))
+        };
+        let err = decode(&profile).expect_err("codes [5, 1, 3] decoded");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        profile.per_weight = vec![weight(1, 120.0), weight(1, 130.0)];
+        let err = decode(&profile).expect_err("duplicate codes decoded");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        profile.per_weight = vec![weight(1, 120.0), weight(3, 150.0), weight(5, 190.0)];
+        let back = decode(&profile).expect("ascending codes decode");
+        assert_eq!(back, profile);
+        assert_eq!(back.timing(5).max_delay_ps, 190.0);
+        assert_eq!(back.max_delay_over(&[5]), 190.0);
+        assert_eq!(back.max_delay_ps(), 190.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   weights/activations are projected onto the selected value sets in
 //!   the forward pass; the backward pass uses the straight-through
 //!   estimator (the projection is skipped when propagating gradients),
-//!   exactly as described with reference [15].
+//!   exactly as described with reference \[15\].
 
 use nn::data::Dataset;
 use nn::model::Network;

@@ -1,13 +1,13 @@
-//! Supply-voltage scaling model (paper §III-C, references [16], [17]).
+//! Supply-voltage scaling model (paper §III-C, references \[16\], \[17\]).
 //!
 //! Selecting weights/activations with small delays reduces the MAC's
 //! maximum sensitizable delay below the clock period. The freed slack
 //! is converted to power savings by lowering VDD until the slowed
 //! circuit again just meets the clock. The delay-vs-voltage curve is a
-//! tabulated FinFET characteristic in the spirit of [16] (near-threshold
+//! tabulated FinFET characteristic in the spirit of \[16\] (near-threshold
 //! delay blows up super-linearly); dynamic power scales as V², leakage
 //! with an empirical V³-like law fitted to the near-threshold FinFET
-//! scaling reported in [17].
+//! scaling reported in \[17\].
 
 /// Delay-vs-VDD model with power scaling laws.
 ///
@@ -34,7 +34,7 @@ impl VoltageModel {
     /// A 15 nm-FinFET-like curve with 0.8 V nominal supply.
     ///
     /// Anchor points follow the shape of the dynamic-voltage-scaling
-    /// simulations in [16]: mild slowdown at first, super-linear toward
+    /// simulations in \[16\]: mild slowdown at first, super-linear toward
     /// near-threshold.
     #[must_use]
     pub fn finfet15() -> Self {
@@ -106,7 +106,7 @@ impl VoltageModel {
     /// Leakage-power scale factor at `vdd` relative to nominal. An
     /// empirical `(V/V0)³` law that matches the 2–3× leakage reduction
     /// between 0.8 V and 0.6 V reported for FinFET near-threshold
-    /// operation in [17].
+    /// operation in \[17\].
     #[must_use]
     pub fn leakage_power_factor(&self, vdd: f64) -> f64 {
         let r = vdd / self.nominal;

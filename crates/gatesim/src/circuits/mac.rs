@@ -23,8 +23,8 @@ pub enum MultiplierKind {
     #[default]
     BaughWooley,
     /// Radix-4 Booth recoding — halves the partial products and changes
-    /// which weight values are cheap, the hardware ablation of
-    /// DESIGN.md §7.
+    /// which weight values are cheap, the hardware ablation of the
+    /// `ablation_multiplier` bench binary.
     Booth,
 }
 

@@ -1,5 +1,5 @@
-//! Batched gate-simulation engine: the allocation-free hot path behind
-//! power and timing characterization.
+//! Batched gate-simulation engine: the allocation-free per-sample
+//! engine behind timing characterization.
 //!
 //! [`crate::Simulator`] is the *reference* scalar implementation: every
 //! `settle` allocates a fresh value vector, every `transition` a fresh
@@ -18,8 +18,7 @@
 //! * gate evaluation goes through a precomputed 8-entry truth table per
 //!   gate instead of a `match` on the cell kind;
 //! * per-transition results are exposed as a borrow ([`TransitionView`])
-//!   over persistent scratch arrays, and batch results are reduced into
-//!   a [`BatchAccumulator`] — no allocation per sample anywhere.
+//!   over persistent scratch arrays — no allocation per sample anywhere.
 //!
 //! The engine is **bit-identical** to the scalar simulator: events carry
 //! the same `(time, sequence)` ordering, energies are summed in the same
@@ -180,8 +179,7 @@ impl EventQueue {
 
 /// Borrow of one transition's results over the engine's scratch buffers.
 ///
-/// Holding a view blocks further engine calls; copy out what you need or
-/// fold it into a [`BatchAccumulator`].
+/// Holding a view blocks further engine calls; copy out what you need.
 #[derive(Debug)]
 pub struct TransitionView<'a> {
     /// Total switching energy of the transition, fJ.
@@ -223,83 +221,6 @@ impl TransitionView<'_> {
     #[must_use]
     pub fn observed_count(&self) -> usize {
         self.observed_fs.len()
-    }
-}
-
-/// Streaming reduction over many transitions: total energy, toggle
-/// count, worst delay and per-output arrival maxima.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchAccumulator {
-    total_energy_fj: f64,
-    total_toggles: u64,
-    transitions: u64,
-    max_delay_ps: f64,
-    output_arrival_max_ps: Vec<f64>,
-}
-
-impl BatchAccumulator {
-    /// An empty accumulator for a netlist with `outputs` primary
-    /// outputs.
-    #[must_use]
-    pub fn new(outputs: usize) -> Self {
-        BatchAccumulator {
-            total_energy_fj: 0.0,
-            total_toggles: 0,
-            transitions: 0,
-            max_delay_ps: 0.0,
-            output_arrival_max_ps: vec![0.0; outputs],
-        }
-    }
-
-    /// Folds one transition into the totals.
-    pub fn record(&mut self, view: &TransitionView<'_>) {
-        self.total_energy_fj += view.energy_fj;
-        self.total_toggles += view.toggles;
-        self.transitions += 1;
-        self.max_delay_ps = self.max_delay_ps.max(view.delay_ps);
-        for (slot, max) in self.output_arrival_max_ps.iter_mut().enumerate() {
-            *max = max.max(view.output_arrival_ps(slot));
-        }
-    }
-
-    /// Sum of switching energies over the batch, fJ.
-    #[must_use]
-    pub fn total_energy_fj(&self) -> f64 {
-        self.total_energy_fj
-    }
-
-    /// Sum of net toggles over the batch.
-    #[must_use]
-    pub fn total_toggles(&self) -> u64 {
-        self.total_toggles
-    }
-
-    /// Number of transitions recorded.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Mean switching energy per transition, fJ (0 for an empty batch).
-    #[must_use]
-    pub fn mean_energy_fj(&self) -> f64 {
-        if self.transitions == 0 {
-            0.0
-        } else {
-            self.total_energy_fj / self.transitions as f64
-        }
-    }
-
-    /// Worst dynamic delay seen over the batch, ps.
-    #[must_use]
-    pub fn max_delay_ps(&self) -> f64 {
-        self.max_delay_ps
-    }
-
-    /// Per-primary-output maxima of the last-toggle arrival, ps.
-    #[must_use]
-    pub fn output_arrival_max_ps(&self) -> &[f64] {
-        &self.output_arrival_max_ps
     }
 }
 
@@ -702,38 +623,6 @@ impl<'a> BatchSim<'a> {
             observed_fs: &self.observed_arrival_fs,
         }
     }
-
-    /// Runs a stream of `(from, to)` input pairs, folding each measured
-    /// transition into `acc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-length mismatch.
-    pub fn run_pairs<'p, I>(&mut self, pairs: I, acc: &mut BatchAccumulator)
-    where
-        I: IntoIterator<Item = (&'p [bool], &'p [bool])>,
-    {
-        for (from, to) in pairs {
-            self.settle(from);
-            let view = self.transition(to);
-            acc.record(&view);
-        }
-    }
-
-    /// Convenience wrapper: runs the pair stream into a fresh
-    /// accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-length mismatch.
-    pub fn accumulate<'p, I>(&mut self, pairs: I) -> BatchAccumulator
-    where
-        I: IntoIterator<Item = (&'p [bool], &'p [bool])>,
-    {
-        let mut acc = BatchAccumulator::new(self.netlist.outputs().len());
-        self.run_pairs(pairs, &mut acc);
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -819,23 +708,6 @@ mod tests {
                 assert_eq!(batch.value(NetId(net as u32)), expected[net], "net {net}");
             }
         }
-    }
-
-    #[test]
-    fn accumulator_reduces_totals() {
-        let nl = xor_tree();
-        let lib = CellLibrary::uniform(2.0, 1.0, 0.0);
-        let mut batch = BatchSim::new(&nl, &lib);
-        let a = [false, false, false, false];
-        let b = [true, false, false, false];
-        let acc = batch.accumulate([(&a[..], &b[..]), (&b[..], &a[..])]);
-        assert_eq!(acc.transitions(), 2);
-        assert_eq!(acc.total_toggles(), 6);
-        assert!((acc.total_energy_fj() - 4.0).abs() < 1e-12);
-        assert!((acc.mean_energy_fj() - 2.0).abs() < 1e-12);
-        assert!((acc.max_delay_ps() - 4.0).abs() < 1e-9);
-        assert_eq!(acc.output_arrival_max_ps().len(), 1);
-        assert!(acc.output_arrival_max_ps()[0] > 0.0);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   reports switching energy (including glitches) and the settle time of
 //!   every transition, i.e. dynamic timing analysis (DTA).
 //! * [`engine`] — the batched simulation engine ([`BatchSim`]): same
-//!   semantics as [`sim`], but allocation-free with incremental settles,
-//!   a reusable lane-based event queue and streaming aggregation — the
-//!   per-sample-timing hot path (2.5×+ the scalar throughput,
-//!   bit-identical results).
+//!   semantics as [`sim`], but allocation-free with incremental settles
+//!   and a reusable lane-based event queue — the per-sample-timing hot
+//!   path (2.5×+ the scalar throughput, bit-identical results).
 //! * [`bitsim`] — the bit-parallel engine ([`BitSim`]): 64 stimulus
 //!   vectors packed into one `u64` per net, word-wide truth-table
 //!   evaluation and popcount toggle counting — the power
@@ -73,7 +72,7 @@ pub use bitsim::{BitSim, BitTransitionView};
 pub use builder::NetlistBuilder;
 pub use cells::{CellKind, CellLibrary, CellParams};
 pub use counters::{register_metrics, sim_transitions};
-pub use engine::{BatchAccumulator, BatchSim, TransitionView};
+pub use engine::{BatchSim, TransitionView};
 pub use intervals::{NetInterval, PrunePlan};
 pub use netlist::{Gate, GateId, NetId, Netlist};
 pub use sim::{Simulator, TransitionStats};

@@ -1,7 +1,7 @@
 //! Procedurally generated image classification datasets.
 //!
 //! Stands in for CIFAR-10/CIFAR-100/ImageNet, which are not available in
-//! this environment (see DESIGN.md §2). Each class is defined by a
+//! this environment. Each class is defined by a
 //! seeded mixture of oriented sinusoidal gratings plus a class-specific
 //! blob; samples add per-sample phase jitter, amplitude jitter and
 //! pixel noise, so the task is learnable but not trivial, and accuracy
@@ -59,7 +59,7 @@ impl SyntheticSpec {
 
     /// A many-class, single-channel stand-in used as the "ImageNet"
     /// workload for the EfficientNet-Lite experiments (reduced classes
-    /// to keep CPU training tractable; documented in DESIGN.md).
+    /// to keep CPU training tractable).
     #[must_use]
     pub fn imagenet_like(size: usize, samples: usize, seed: u64) -> Self {
         SyntheticSpec {

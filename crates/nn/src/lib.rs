@@ -1,7 +1,7 @@
 //! From-scratch quantization-aware neural network substrate.
 //!
 //! This crate replaces the TensorFlow + GPU training flow of the
-//! PowerPruning paper (see DESIGN.md §2) with a small, explicit
+//! PowerPruning paper with a small, explicit
 //! framework purpose-built for the paper's needs:
 //!
 //! * [`tensor`] / [`linalg`] — dense `f32` tensors and GEMM kernels.

@@ -5,7 +5,7 @@
 //! structure at reduced depth/width, and "EfficientNet-Lite-mini" keeps
 //! EfficientNet-Lite's MBConv (expand → depthwise → project, ReLU6, no
 //! squeeze-excite) structure at reduced scale — full-size training is
-//! compute-gated on CPU; see DESIGN.md §2.
+//! compute-gated on CPU.
 //!
 //! All builders set the first convolution's capture range to 1.0
 //! (images live in `[0, 1]`); every other conv consumes ReLU6 outputs

@@ -164,7 +164,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Attaches a key=value field (up to [`MAX_FIELDS`]; extras are
+    /// Attaches a key=value field (up to four per span; extras are
     /// silently dropped to keep records bounded).
     pub fn field(&mut self, key: &'static str, value: impl fmt::Display) {
         if self.fields.len() < MAX_FIELDS {

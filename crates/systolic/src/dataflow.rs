@@ -10,8 +10,8 @@
 //! between consecutive weights), and zero-weight gating only applies to
 //! the individual cycles where the streamed weight happens to be zero.
 //!
-//! This module quantifies that difference — the dataflow ablation of
-//! DESIGN.md §7.
+//! This module quantifies that difference — the dataflow ablation that
+//! the `ablation_dataflow` bench binary runs.
 
 use crate::array::{HwVariant, SystolicArray};
 use crate::energy::{GemmEnergyReport, MacEnergyModel};

@@ -1,7 +1,7 @@
 //! Cycle-level weight-stationary systolic array simulator.
 //!
 //! Replaces the RTL + Modelsim + Power Compiler accelerator flow of the
-//! PowerPruning paper (DESIGN.md §2). Quantized GEMMs captured from the
+//! PowerPruning paper. Quantized GEMMs captured from the
 //! [`nn`] crate ([`nn::layers::GemmCapture`]) are tiled onto an R×C
 //! weight-stationary array (TPU-style: weights stationary in PEs,
 //! activations streamed across rows, partial sums accumulated down

@@ -1,7 +1,7 @@
 //! Workspace facade for the PowerPruning reproduction.
 //!
-//! Re-exports the four crates so examples and integration tests can use
-//! one import root:
+//! Re-exports the seven domain crates so examples and integration tests
+//! can use one import root:
 //!
 //! * [`gatesim`] — gate-level netlists, timed simulation, STA.
 //! * [`nn`] — quantization-aware NN training with restricted value sets.
@@ -15,8 +15,8 @@
 //! * [`obs`] — unified observability: the process-global metrics
 //!   registry, span tracing and the leveled logger.
 //!
-//! See `README.md` for the quickstart and `DESIGN.md` for the system
-//! inventory.
+//! See `README.md` for the quickstart, the workspace layout and the map
+//! from paper sections to modules.
 
 pub use charserve;
 pub use charstore;

@@ -12,8 +12,8 @@ use gatesim::{
     BitSim, CellKind, CellLibrary, NetId, Netlist, NetlistBuilder, PrunePlan, Simulator, Sta,
 };
 use powerpruning::chars::{
-    characterize_power, characterize_power_batched, characterize_power_scalar,
-    characterize_power_with_threads, MacHardware, PowerConfig, PsumBinning,
+    characterize_power, characterize_power_scalar, characterize_power_with_threads, MacHardware,
+    PowerConfig, PsumBinning,
 };
 use proptest::prelude::*;
 use systolic::stats::TransitionStats;
@@ -254,8 +254,8 @@ fn fake_workload() -> (TransitionStats, PsumBinning) {
 }
 
 /// `characterize_power` (BitSim hot path) must reproduce the scalar
-/// and batched references bit-for-bit at sample counts below, at and
-/// above the 64-lane word width.
+/// reference bit-for-bit at sample counts below, at and above the
+/// 64-lane word width.
 #[test]
 fn power_profiles_identical_across_engines_and_tail_sizes() {
     let hw = MacHardware::small();
@@ -270,9 +270,7 @@ fn power_profiles_identical_across_engines_and_tail_sizes() {
         };
         let bitsim = characterize_power(&hw, &stats, &binning, &cfg);
         let scalar = characterize_power_scalar(&hw, &stats, &binning, &cfg);
-        let batched = characterize_power_batched(&hw, &stats, &binning, &cfg);
         assert_eq!(bitsim, scalar, "BitSim diverged at {samples} samples");
-        assert_eq!(batched, scalar, "BatchSim diverged at {samples} samples");
     }
 }
 

@@ -6,11 +6,16 @@
 use charstore::{Digest128, Section, Store};
 use gatesim::circuits::{BoothMultiplierCircuit, MacCircuit, MultiplierCircuit, MultiplierKind};
 use gatesim::CellLibrary;
-use powerpruning::chars::{characterize_timing, MacHardware, TimingConfig, WeightTimingProfile};
+use powerpruning::chars::{
+    characterize_power, characterize_timing, MacHardware, PowerConfig, PsumBinning, TimingConfig,
+    WeightPowerProfile, WeightTiming, WeightTimingProfile,
+};
 use powerpruning::pipeline::{NetworkKind, Pipeline, PipelineConfig, Scale};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
+use systolic::stats::TransitionStats;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -424,5 +429,118 @@ proptest! {
         prop_assert!(cold.get(key).is_none(), "flip at byte {} went undetected", pos);
         prop_assert_eq!(cold.counters().misses, 1);
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Valid encodings of a characterized power profile and of a small
+/// timing profile with slow transitions: the seeds that the truncation
+/// and byte-flip properties below mutate.
+fn profile_encodings() -> &'static (Vec<u8>, Vec<u8>) {
+    static ENCODINGS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        let mut stats = TransitionStats::new();
+        stats.record_activation(1, 2, 3);
+        stats.record_activation(2, 9, 1);
+        let psums: Vec<(i32, i32)> = (0..64).map(|i| (i * 7 - 200, 150 - i * 5)).collect();
+        let binning = PsumBinning::from_samples(&psums, 4, 12, 0);
+        let cfg = PowerConfig {
+            samples_per_weight: 4,
+            weight_stride: 4,
+            ..PowerConfig::default()
+        };
+        let power = characterize_power(&MacHardware::small(), &stats, &binning, &cfg);
+        let weight = |code, slow: Vec<(u8, u8, f32)>| WeightTiming {
+            code,
+            max_delay_ps: 100.0 + f64::from(code),
+            histogram: vec![1, 0, 2],
+            slow,
+        };
+        let timing = WeightTimingProfile {
+            per_weight: vec![
+                weight(-3, vec![(1, 2, 101.5)]),
+                weight(0, Vec::new()),
+                weight(4, vec![(0, 15, 104.0), (7, 3, 103.25)]),
+            ],
+            psum_floor_ps: 60.0,
+            adder_from_product_ps: vec![12.0, 9.5, 7.0],
+            slow_floor_ps: 100.0,
+        };
+        let (mut p, mut t) = (Vec::new(), Vec::new());
+        power.write_to(&mut p);
+        timing.write_to(&mut t);
+        (p, t)
+    })
+}
+
+/// Feeds `bytes` to both profile decoders. Neither may panic or fail
+/// with anything but `InvalidData`. A profile that decodes must
+/// re-encode to exactly the bytes it consumed, and every code it holds
+/// must be found by its binary-search lookups.
+fn assert_profile_decoders_hold(bytes: &[u8]) {
+    let mut r = charstore::wire::Reader::new(bytes);
+    match WeightPowerProfile::read_from(&mut r) {
+        Ok(profile) => {
+            let mut again = Vec::new();
+            profile.write_to(&mut again);
+            assert_eq!(again, &bytes[..bytes.len() - r.remaining()]);
+            for (&code, (_, power)) in profile.codes().iter().zip(profile.series()) {
+                assert_eq!(profile.power_uw(code).to_bits(), power.to_bits());
+                let _ = profile.energy_fj(code);
+            }
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
+    let mut r = charstore::wire::Reader::new(bytes);
+    match WeightTimingProfile::read_from(&mut r) {
+        Ok(profile) => {
+            let mut again = Vec::new();
+            profile.write_to(&mut again);
+            assert_eq!(again, &bytes[..bytes.len() - r.remaining()]);
+            for t in &profile.per_weight {
+                assert!(std::ptr::eq(profile.timing(t.code), t));
+            }
+            let _ = profile.max_delay_ps();
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, raw and behind a small entry count so that the
+    /// decoders get past the length check into the entries.
+    #[test]
+    fn profile_decoders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..400),
+        count in 0u64..6,
+    ) {
+        assert_profile_decoders_hold(&bytes);
+        let mut prefixed = count.to_le_bytes().to_vec();
+        prefixed.extend_from_slice(&bytes);
+        assert_profile_decoders_hold(&prefixed);
+    }
+
+    /// Every strict prefix of a valid encoding fails cleanly, and a
+    /// single flipped byte either fails cleanly or decodes to a profile
+    /// that re-encodes to the flipped bytes.
+    #[test]
+    fn profile_decoders_survive_truncation_and_flips(
+        cut in 0usize..10_000,
+        flip_pos in 0usize..10_000,
+        flip in 1u8..=255,
+    ) {
+        use charstore::wire::Reader;
+        let (power, timing) = profile_encodings();
+        let power_cut = &power[..cut % power.len()];
+        let timing_cut = &timing[..cut % timing.len()];
+        prop_assert!(WeightPowerProfile::read_from(&mut Reader::new(power_cut)).is_err());
+        prop_assert!(WeightTimingProfile::read_from(&mut Reader::new(timing_cut)).is_err());
+        for encoding in [power, timing] {
+            assert_profile_decoders_hold(&encoding[..cut % encoding.len()]);
+            let mut flipped = encoding.clone();
+            flipped[flip_pos % encoding.len()] ^= flip;
+            assert_profile_decoders_hold(&flipped);
+        }
     }
 }

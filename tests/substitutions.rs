@@ -1,12 +1,13 @@
-//! Tests pinning the substitution claims of DESIGN.md §2: the
-//! calibrated substrate must actually have the properties the
-//! reproduction argues make it a valid stand-in.
+//! Tests pinning the substitution claims of the reproduction: the
+//! calibrated substrate (cell library, Booth MAC, voltage model,
+//! synthetic datasets) must actually have the properties that make it
+//! a valid stand-in for the paper's EDA flow and datasets.
 
 use gatesim::circuits::{MacCircuit, MultiplierKind};
 use gatesim::{CellLibrary, Sta};
 use powerpruning::voltage::VoltageModel;
 
-/// DESIGN.md: the MAC critical path is calibrated to the paper's
+/// The MAC critical path is calibrated to the paper's
 /// ~180 ps post-synthesis value (within the 200 ps / 5 GHz clock).
 #[test]
 fn mac_critical_path_matches_paper_scale() {
@@ -25,7 +26,7 @@ fn mac_critical_path_matches_paper_scale() {
     );
 }
 
-/// DESIGN.md: Booth recoding makes runs-of-ones (small negative)
+/// Booth recoding makes runs-of-ones (small negative)
 /// weights cheap and alternating patterns expensive — the paper's
 /// Fig. 2 ordering. The plain array orders by ones count instead.
 /// Check the structural signature at the netlist level: fixing the
@@ -59,7 +60,7 @@ fn booth_specialization_tracks_digit_activity() {
     assert!(remaining_gates(0) <= cheap);
 }
 
-/// DESIGN.md: the voltage model reproduces the paper's 180→140 ps ⇒
+/// The voltage model reproduces the paper's 180→140 ps ⇒
 /// 0.71 V conversion within one table step.
 #[test]
 fn voltage_model_reproduces_paper_conversion() {
@@ -68,7 +69,7 @@ fn voltage_model_reproduces_paper_conversion() {
     assert!((0.69..=0.73).contains(&vdd), "got {vdd} V");
 }
 
-/// DESIGN.md: the synthetic datasets respond to weight-value
+/// The synthetic datasets respond to weight-value
 /// restriction the way the paper's tradeoff curves require — a heavy
 /// restriction must not be free.
 #[test]
@@ -120,7 +121,7 @@ fn synthetic_task_responds_to_restriction() {
     assert!(free_acc > 0.5, "baseline must be learnable ({free_acc})");
 }
 
-/// DESIGN.md: per-weight characterized energies drive the array's
+/// Per-weight characterized energies drive the array's
 /// energy accounting; a network restricted to the cheapest codes must
 /// measure lower array power end-to-end.
 #[test]
