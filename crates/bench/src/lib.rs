@@ -1,9 +1,11 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see the README's paper-section → module map); the Criterion
-//! benches in `benches/` measure the runtime of the underlying kernels
-//! and the scaling of the design choices called out for ablation.
+//! The `fig*` and `table1` binaries in `src/bin/` each regenerate one
+//! figure or table of the paper (see the README's paper-section →
+//! module map), and the `ablation*` binaries the design-choice
+//! ablations. The rest are the `charstore` management CLI, the
+//! `charserve_load` serving bench and `bench_characterization`, which
+//! times the production engines against the scalar oracle.
 
 use powerpruning::pipeline::{PipelineConfig, Scale};
 

@@ -217,9 +217,9 @@ impl WeightTimingProfile {
     }
 }
 
-/// Adder-side STA facts shared by the batched and scalar paths and by
-/// [`sta_bound_per_weight`]: the product-bit → output delay table and
-/// the psum-path floor.
+/// Adder-side STA facts shared by [`characterize_timing`], the scalar
+/// oracle and [`sta_bound_per_weight`]: the product-bit → output delay
+/// table and the psum-path floor.
 fn adder_sta(hw: &MacHardware) -> (Vec<f64>, f64) {
     // STA on the MAC netlist: product bits and psum ports only feed the
     // adder, so these are adder-side delays.
@@ -507,53 +507,33 @@ fn expand_timing(
     }
 }
 
-/// Per-weight **hazard-free static** timing bound via netlist
-/// specialization.
+/// Per-weight static timing bound from the weight-pinned prune plan.
 ///
-/// Fixes the weight bus of the standalone multiplier to `code`,
-/// constant-propagates (removing every path the weight desensitizes —
-/// the paper's §II observation), runs STA on what remains, and composes
-/// with the adder table like the dynamic path.
+/// Pins the weight bus of the standalone multiplier to `code` and runs
+/// the [`PrunePlan`] pass over it: constant propagation removes every
+/// path the weight desensitizes (the paper's §II observation), and each
+/// product bit that can still toggle keeps its STA arrival interval.
+/// The bound is the largest `hi + adder_from_product[j]` over those
+/// bits, composed with the adder table like the dynamic path.
 ///
-/// This bounds the *hazard-free* settling delay only: glitch cascades
-/// can propagate through logically-constant nets and arrive later, which
-/// the event-driven DTA of [`characterize_timing`] captures and this
-/// bound does not. That asymmetry is exactly why the paper performs
-/// dynamic analysis on the multiplier instead of static case analysis —
-/// this function exists to quantify the difference (see the timing
-/// comparison in the test suite).
+/// Every settle time the engines report lies inside its net's
+/// interval, glitches included, so this bounds the DTA maximum of
+/// [`characterize_timing`] by construction. Pinning only removes
+/// paths, so it never exceeds the full-netlist composition bound either
+/// (both checked per code in the test suite).
 ///
-/// Returns the composed bound in ps (0 when the multiplier collapses to
-/// constants, e.g. for weight 0).
+/// Returns the composed bound in ps (0 when every product bit is
+/// constant, e.g. for weight 0).
 #[must_use]
 pub fn sta_bound_per_weight(hw: &MacHardware, code: i32) -> f64 {
-    use gatesim::netlist::to_bits;
-    use gatesim::transform::specialize;
-
-    let mult = hw.mult_netlist();
-    let bits = to_bits(code as i64, hw.weight_bits());
-    let assignments: Vec<(gatesim::NetId, bool)> = bits
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (mult.inputs()[i], v))
-        .collect();
-    let spec = specialize(mult, &assignments);
-
     let (adder_from_product, _) = adder_sta(hw);
-
-    // Multiplier-side arrivals on the specialized netlist.
-    let sta_spec = Sta::new(&spec.netlist, hw.lib());
-    let arrivals = sta_spec.arrivals_from_inputs();
-    let mut bound = 0.0f64;
-    for (j, &out) in spec.netlist.outputs().iter().enumerate() {
-        if spec.const_outputs[j].is_some() {
-            continue; // constant product bit: no dynamic path
-        }
-        if let Some(t) = arrivals[out.index()] {
-            bound = bound.max(t + adder_from_product[j]);
-        }
-    }
-    bound
+    let plan = PrunePlan::new(hw.mult_netlist(), hw.lib(), &hw.mult_weight_pins(code));
+    hw.mult_netlist()
+        .outputs()
+        .iter()
+        .zip(&adder_from_product)
+        .filter_map(|(&bit, &adder_d)| plan.interval(bit).map(|iv| iv.hi_ps() + adder_d))
+        .fold(0.0, f64::max)
 }
 
 /// Composes a multiplier arrival vector with an adder STA table — the
@@ -801,40 +781,46 @@ mod tests {
 
     #[test]
     fn specialized_sta_never_exceeds_full_composition_bound() {
-        // Fixing the weight only removes paths, so the specialized
-        // hazard-free bound can never exceed the full-netlist
-        // composition bound (paper §II, checked structurally). The DTA
-        // max is *not* bounded by it — glitch cascades may run through
-        // logically-constant nets — which is why the paper uses dynamic
-        // analysis; we only require DTA to respect the full bound.
-        let hw = MacHardware::small();
-        let profile = characterize_timing(&hw, &quick_cfg());
-        let full_bound: f64 = {
-            let sta = gatesim::Sta::new(hw.mult_netlist(), hw.lib());
-            let mult_max = sta.critical_path_ps();
-            let adder_max = profile
-                .adder_from_product_ps
-                .iter()
-                .cloned()
-                .fold(0.0, f64::max);
-            mult_max + adder_max
+        // Per code: DTA max <= plan bound <= full-netlist bound. Every
+        // settle time lies inside its STA interval, so the weight-pinned
+        // bound holds the DTA maximum, glitches included; pinning only
+        // removes paths (paper §II), so it never exceeds the full bound.
+        // Small runs exhaustively; paper runs every code at 64 sampled
+        // pairs.
+        let paper_cfg = TimingConfig {
+            exhaustive: false,
+            samples: 64,
+            ..quick_cfg()
         };
-        for t in &profile.per_weight {
-            let bound = sta_bound_per_weight(&hw, t.code);
-            assert!(
-                bound <= full_bound + 1e-6,
-                "weight {}: specialized bound {} exceeds full bound {}",
-                t.code,
-                bound,
-                full_bound
-            );
-            assert!(
-                t.max_delay_ps <= full_bound + 1e-6,
-                "weight {}: DTA {} exceeds full bound {}",
-                t.code,
-                t.max_delay_ps,
-                full_bound
-            );
+        for (hw, cfg) in [
+            (MacHardware::small(), quick_cfg()),
+            (MacHardware::paper_default(), paper_cfg),
+        ] {
+            let profile = characterize_timing(&hw, &cfg);
+            assert_eq!(profile.per_weight.len(), hw.weight_codes().len());
+            let full_bound = Sta::new(hw.mult_netlist(), hw.lib()).critical_path_ps()
+                + profile
+                    .adder_from_product_ps
+                    .iter()
+                    .copied()
+                    .fold(0.0, f64::max);
+            for t in &profile.per_weight {
+                let bound = sta_bound_per_weight(&hw, t.code);
+                assert!(
+                    t.max_delay_ps <= bound,
+                    "weight {}: DTA {} exceeds plan bound {}",
+                    t.code,
+                    t.max_delay_ps,
+                    bound
+                );
+                assert!(
+                    bound <= full_bound + 1e-6,
+                    "weight {}: plan bound {} exceeds full bound {}",
+                    t.code,
+                    bound,
+                    full_bound
+                );
+            }
         }
     }
 

@@ -66,7 +66,6 @@ pub mod intervals;
 pub mod netlist;
 pub mod sim;
 pub mod sta;
-pub mod transform;
 
 pub use bitsim::{BitSim, BitTransitionView};
 pub use builder::NetlistBuilder;

@@ -98,12 +98,26 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Reads one 8-byte header field (magic, count, rank, shape or length).
+/// Input that ends inside a field is truncated, so the short read is
+/// `InvalidData` like every other malformed input, not `UnexpectedEof`.
+fn read_field<R: Read>(r: &mut R, what: &str) -> io::Result<[u8; 8]> {
+    let mut buf = [0u8; 8];
+    r.read_exact(&mut buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => invalid(format!("truncated {what}")),
+        _ => e,
+    })?;
+    Ok(buf)
+}
+
+fn read_u64<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
+    read_field(r, what).map(u64::from_le_bytes)
+}
+
 /// Reads the tensor list shared by both container flavours, with the
 /// full hardening discipline (see [`load_weights`]).
 fn read_tensors<R: Read>(r: &mut R) -> io::Result<Vec<Tensor>> {
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u64buf)?;
-    let count64 = u64::from_le_bytes(u64buf);
+    let count64 = read_u64(r, "tensor count")?;
     if count64 > MAX_TENSORS {
         return Err(invalid(format!(
             "implausible tensor count {count64} (max {MAX_TENSORS})"
@@ -113,8 +127,7 @@ fn read_tensors<R: Read>(r: &mut R) -> io::Result<Vec<Tensor>> {
 
     let mut tensors: Vec<Tensor> = Vec::new();
     for idx in 0..count {
-        r.read_exact(&mut u64buf)?;
-        let rank = u64::from_le_bytes(u64buf);
+        let rank = read_u64(r, "tensor rank")?;
         if rank > MAX_RANK {
             return Err(invalid(format!(
                 "tensor {idx}: implausible rank {rank} (max {MAX_RANK})"
@@ -123,8 +136,7 @@ fn read_tensors<R: Read>(r: &mut R) -> io::Result<Vec<Tensor>> {
         let mut shape = Vec::with_capacity(rank as usize);
         let mut len: u64 = 1;
         for _ in 0..rank {
-            r.read_exact(&mut u64buf)?;
-            let dim = u64::from_le_bytes(u64buf);
+            let dim = read_u64(r, "tensor shape")?;
             len = len
                 .checked_mul(dim)
                 .filter(|&l| l <= MAX_ELEMENTS)
@@ -234,9 +246,7 @@ fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: Option<&[Vec<f32>]>)
 /// truncated contents, trailing bytes, or structure mismatch — all
 /// malformed-input cases as [`io::ErrorKind::InvalidData`].
 pub fn load_weights<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    if &read_field(&mut r, "magic")? != MAGIC {
         return Err(invalid("not a PowerPruning weight file"));
     }
     let tensors = read_tensors(&mut r)?;
@@ -258,16 +268,12 @@ pub fn load_weights<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
 /// truncated contents, trailing bytes, or structure mismatch — all
 /// malformed-input cases as [`io::ErrorKind::InvalidData`].
 pub fn load_state<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != STATE_MAGIC {
+    if &read_field(&mut r, "magic")? != STATE_MAGIC {
         return Err(invalid("not a PowerPruning network state file"));
     }
     let tensors = read_tensors(&mut r)?;
 
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u64buf)?;
-    let buf_count = u64::from_le_bytes(u64buf);
+    let buf_count = read_u64(&mut r, "buffer count")?;
     if buf_count > MAX_TENSORS {
         return Err(invalid(format!(
             "implausible buffer count {buf_count} (max {MAX_TENSORS})"
@@ -275,8 +281,7 @@ pub fn load_state<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
     }
     let mut buffers: Vec<Vec<f32>> = Vec::new();
     for idx in 0..buf_count {
-        r.read_exact(&mut u64buf)?;
-        let len = u64::from_le_bytes(u64buf);
+        let len = read_u64(&mut r, "buffer length")?;
         if len > MAX_ELEMENTS {
             return Err(invalid(format!(
                 "buffer {idx}: implausible length {len} (max {MAX_ELEMENTS})"
@@ -403,11 +408,36 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected() {
-        let mut a = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = Vec::new();
-        save_weights(&mut a, &mut buf).expect("save");
-        buf.truncate(buf.len() / 2);
-        assert!(load_weights(&mut a, buf.as_slice()).is_err());
+        // Every strict prefix of a weights file and of a state file is
+        // truncated input, wherever the cut falls: `InvalidData`, with
+        // the target network untouched.
+        let mut source = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(4));
+        let mut weights = Vec::new();
+        save_weights(&mut source, &mut weights).expect("save");
+        let mut state = Vec::new();
+        save_state(&mut source, &mut state).expect("save state");
+        let mut target = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(99));
+        let mut before = Vec::new();
+        save_state(&mut target, &mut before).expect("save state");
+        for cut in 0..weights.len() {
+            let err = load_weights(&mut target, &weights[..cut]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "weights cut at {cut}: {err}"
+            );
+        }
+        for cut in 0..state.len() {
+            let err = load_state(&mut target, &state[..cut]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "state cut at {cut}: {err}"
+            );
+        }
+        let mut after = Vec::new();
+        save_state(&mut target, &mut after).expect("save state");
+        assert_eq!(after, before, "a truncated load changed the network");
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn find_objects(objects: &std::path::Path) -> Vec<PathBuf> {
     out
 }
 
-/// The acceptance-criterion test: a second Micro-scale pipeline run
+/// The acceptance test: a second Micro-scale pipeline run
 /// against a warmed store answers **all four** cacheable stages —
 /// baseline training, GEMM capture, power characterization, timing —
 /// from the cache, observable as hits with no misses, and returns

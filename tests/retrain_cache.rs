@@ -1,4 +1,4 @@
-//! Warm-retrain harness: the acceptance-criterion test that the
+//! Warm-retrain harness: the acceptance test that the
 //! sweeps' retraining loops replay from the artifact store — a second
 //! power-threshold sweep against a warmed store performs **zero
 //! training epochs**, restores the network bit-exactly at every hit,

@@ -29,35 +29,35 @@ fn mac_critical_path_matches_paper_scale() {
 /// Booth recoding makes runs-of-ones (small negative)
 /// weights cheap and alternating patterns expensive — the paper's
 /// Fig. 2 ordering. The plain array orders by ones count instead.
-/// Check the structural signature at the netlist level: fixing the
-/// weight and counting *reachable* (specializable-away) logic.
+/// Check the structural signature at the netlist level: pin the
+/// weight and count the gates the prune plan leaves *live* (able to
+/// toggle).
 #[test]
 fn booth_specialization_tracks_digit_activity() {
     use gatesim::circuits::BoothMultiplierCircuit;
     use gatesim::netlist::to_bits;
-    use gatesim::transform::specialize;
+    use gatesim::PrunePlan;
 
+    let lib = CellLibrary::nangate15_like();
     let mult = BoothMultiplierCircuit::new(8, 8);
-    let remaining_gates = |weight: i64| -> usize {
-        let bits = to_bits(weight, 8);
-        let fixed: Vec<(gatesim::NetId, bool)> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (mult.netlist().inputs()[i], v))
-            .collect();
-        specialize(mult.netlist(), &fixed).netlist.gate_count()
+    let live_gates = |weight: i64| -> usize {
+        let mut pins: Vec<Option<bool>> = vec![None; mult.netlist().inputs().len()];
+        for (pin, bit) in pins.iter_mut().zip(to_bits(weight, 8)) {
+            *pin = Some(bit);
+        }
+        PrunePlan::new(mult.netlist(), &lib, &pins).live_gate_count()
     };
     // -2 = ...11111110: a single active Booth digit -> little logic
-    // survives. -105 = 10010111: four active digits -> much more
-    // remains live.
-    let cheap = remaining_gates(-2);
-    let expensive = remaining_gates(-105);
+    // stays live. -105 = 10010111: four active digits -> much more
+    // stays live.
+    let cheap = live_gates(-2);
+    let expensive = live_gates(-105);
     assert!(
         cheap < expensive,
-        "-2 should specialize smaller ({cheap}) than -105 ({expensive})"
+        "-2 should leave fewer gates live ({cheap}) than -105 ({expensive})"
     );
-    // Zero collapses (almost) completely.
-    assert!(remaining_gates(0) <= cheap);
+    // Zero silences (almost) everything.
+    assert!(live_gates(0) <= cheap);
 }
 
 /// The voltage model reproduces the paper's 180→140 ps ⇒

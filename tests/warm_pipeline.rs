@@ -1,4 +1,4 @@
-//! End-to-end warm-path harness: the acceptance-criterion test that a
+//! End-to-end warm-path harness: the acceptance test that a
 //! second Micro pipeline run against a warmed store performs **zero
 //! training epochs and zero gate-simulation transitions** and emits a
 //! bit-identical report.
