@@ -59,6 +59,7 @@ use charstore::{RemoteTier, Store};
 use powerpruning::cache::{decode_provenance, CharCache, DEFAULT_CACHE_DIR, REMOTE_STORE_ENV};
 use powerpruning::pipeline::{NetworkKind, Pipeline, PipelineConfig, Scale};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::SystemTime;
 
 struct Args {
@@ -250,11 +251,14 @@ fn cmd_warm(dir: &str, remote: Option<&str>, rest: &[String]) -> Result<(), Stri
             other => return Err(format!("unknown warm option `{other}`")),
         }
     }
-    let cfg = PipelineConfig::for_scale(scale);
-    let pipeline = Pipeline::with_cache_dir_remote(cfg, dir, remote);
-    let cache: &CharCache = pipeline
-        .cache()
-        .ok_or("cache disabled (POWERPRUNING_CACHE=off?) — nothing to warm")?;
+    if CharCache::disabled_by_env() {
+        return Err("cache disabled (POWERPRUNING_CACHE=off) — nothing to warm".into());
+    }
+    let cache = CharCache::open_with_remote(dir, remote)
+        .map_err(|e| format!("cannot open store at `{dir}`: {e}"))?;
+    let cache = Arc::new(cache);
+    let pipeline =
+        Pipeline::with_shared_cache(PipelineConfig::for_scale(scale), Arc::clone(&cache));
     let all = NetworkKind::all();
     let kinds: &[NetworkKind] = if all_networks {
         &all

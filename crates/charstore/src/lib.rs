@@ -18,8 +18,8 @@
 //!   sections plus a prefix-sharded directory of container files, with
 //!   advisory file locking so concurrent experiment binaries share one
 //!   store, an oldest-first [`Store::gc`] sweep, and a re-checksumming
-//!   [`Store::verify`] audit. Legacy flat-layout stores migrate into
-//!   the sharded layout transparently as they are read.
+//!   [`Store::verify`] audit. Only the shards hold objects: a file left
+//!   directly under `objects/` by the pre-sharding layout is a miss.
 //! * [`remote`] — the optional third tier: a [`RemoteTier`] client for
 //!   a `charserve`-style object endpoint. Local `get` misses fall
 //!   through to `GET /object/<key>` (the fetched container is

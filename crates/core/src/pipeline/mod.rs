@@ -13,11 +13,10 @@
 //!    selection by delay threshold + retraining (Fig. 9).
 //! 6. Voltage scaling of the freed timing slack (Table I columns).
 //!
-//! Each step lives in a [`stages`] module behind the small
-//! [`stages::Stage`] trait over a shared [`stages::PipelineCtx`]; the
-//! [`Pipeline`] driver here only composes them. This keeps every stage
-//! independently testable and lets future work cache, shard or
-//! distribute stages without touching the orchestration.
+//! Each step is a function in a [`stages`] module over a shared
+//! [`stages::PipelineCtx`]; [`Pipeline`] here only composes them,
+//! running the four cacheable steps under spans named `prepare`,
+//! `capture`, `characterize` and `timing`.
 
 mod config;
 pub mod stages;
@@ -27,19 +26,17 @@ pub use config::{NetworkKind, PipelineConfig, Scale};
 use crate::chars::{MacHardware, PsumBinning, WeightPowerProfile, WeightTimingProfile};
 use crate::report::{Fig7Entry, Fig8Series, Fig9Series, Table1Row};
 use crate::select::power::{select_by_power, threshold_for_count};
-use crate::voltage::VoltageModel;
+use crate::voltage::{VoltageModel, VoltageScaling};
 use nn::data::Dataset;
 use nn::layers::GemmCapture;
 use nn::model::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stages::characterize::{CaptureStage, CharacterizeStage, PrepareStage, TimingStage};
-use stages::scale::{MeasureInput, MeasurePowerStage, VoltageScaleStage};
+use stages::characterize;
 use stages::select::{
-    cached_prune_retrain, delay_window, retrain_with_retry, DelaySelectInput, DelaySelectStage,
-    PowerSelectInput, PowerSelectStage,
+    cached_prune_retrain, delay_window, retrain_with_retry, select_delay, select_power_count,
 };
-use stages::{PipelineCtx, Stage};
+use stages::PipelineCtx;
 use std::sync::LazyLock;
 use systolic::{HwVariant, MacEnergyModel, SystolicArray, TransitionStats};
 
@@ -113,9 +110,10 @@ impl Pipeline {
     }
 
     /// Creates a pipeline with an explicit artifact store directory
-    /// instead of the environment-selected one — used by tests, benches
-    /// and the `charstore` CLI. `cfg.cache = false` and the
-    /// `POWERPRUNING_CACHE=off` kill switch both still disable caching.
+    /// instead of the environment-selected one — used by tests and
+    /// benches. `cfg.cache = false` and the `POWERPRUNING_CACHE=off`
+    /// kill switch both still disable caching, and so does a directory
+    /// that cannot be opened.
     #[must_use]
     pub fn with_cache_dir(cfg: PipelineConfig, dir: impl AsRef<std::path::Path>) -> Self {
         Pipeline::with_cache_dir_remote(cfg, dir, None)
@@ -123,9 +121,8 @@ impl Pipeline {
 
     /// [`Pipeline::with_cache_dir`] with an optional remote object tier
     /// (`host:port` of a `charserve` daemon) behind the local store —
-    /// the `charstore warm --remote` path, and the way a fleet worker
-    /// with an empty local store answers every stage from a warmed
-    /// daemon. The same cache kill switches apply.
+    /// the way a fleet worker with an empty local store answers every
+    /// stage from a warmed daemon. The same cache kill switches apply.
     #[must_use]
     pub fn with_cache_dir_remote(
         cfg: PipelineConfig,
@@ -146,7 +143,9 @@ impl Pipeline {
 
     /// Creates a pipeline over an already-shared artifact cache — the
     /// `charserve` daemon path, where every worker thread serves
-    /// requests through one store instance and one set of counters.
+    /// requests through one store instance and one set of counters, and
+    /// the `charstore warm` path, which opens the store itself so that
+    /// it can report why a store cannot be opened.
     /// Attaches the cache unconditionally: a service explicitly handed
     /// a store must keep answering from it regardless of `cfg.cache` or
     /// the environment kill switch.
@@ -204,32 +203,32 @@ impl Pipeline {
     /// Trains the quantization-aware baseline for a network kind.
     #[must_use]
     pub fn prepare(&self, kind: NetworkKind) -> Prepared {
-        let _span = obs::span(PrepareStage.name());
-        PREPARE_SECONDS.time(|| PrepareStage.run(&self.ctx(), kind))
+        let _span = obs::span("prepare");
+        PREPARE_SECONDS.time(|| characterize::prepare(&self.ctx(), kind))
     }
 
     /// Captures the quantized GEMMs of a forward pass over a fixed
     /// evaluation batch.
     #[must_use]
     pub fn capture(&self, prepared: &mut Prepared) -> Vec<GemmCapture> {
-        let _span = obs::span(CaptureStage.name());
-        CAPTURE_SECONDS.time(|| CaptureStage.run(&self.ctx(), prepared))
+        let _span = obs::span("capture");
+        CAPTURE_SECONDS.time(|| characterize::capture(&self.ctx(), prepared))
     }
 
     /// Runs statistics collection + power characterization from captured
     /// GEMMs (paper Figs. 2 and 4).
     #[must_use]
     pub fn characterize(&self, captures: &[GemmCapture]) -> Characterization {
-        let _span = obs::span(CharacterizeStage.name());
-        CHARACTERIZE_SECONDS.time(|| CharacterizeStage.run(&self.ctx(), captures))
+        let _span = obs::span("characterize");
+        CHARACTERIZE_SECONDS.time(|| characterize::characterize(&self.ctx(), captures))
     }
 
     /// Runs the timing characterization with the given slow-combination
     /// floor (paper Fig. 3).
     #[must_use]
     pub fn characterize_timing(&self, slow_floor_ps: f64) -> WeightTimingProfile {
-        let _span = obs::span(TimingStage.name());
-        TIMING_SECONDS.time(|| TimingStage.run(&self.ctx(), slow_floor_ps))
+        let _span = obs::span("timing");
+        TIMING_SECONDS.time(|| characterize::timing(&self.ctx(), slow_floor_ps))
     }
 
     /// Serves one full characterization request — the unit the
@@ -316,7 +315,12 @@ impl Pipeline {
         captures: &[GemmCapture],
         model: &MacEnergyModel,
     ) -> (systolic::NetworkEnergyReport, systolic::NetworkEnergyReport) {
-        MeasurePowerStage.run(&self.ctx(), MeasureInput { captures, model })
+        (
+            self.array
+                .run_network_energy(captures, model, HwVariant::Standard),
+            self.array
+                .run_network_energy(captures, model, HwVariant::Optimized),
+        )
     }
 
     /// Runs the complete proposed flow for one network and produces its
@@ -340,13 +344,7 @@ impl Pipeline {
 
         // 4. Weight selection by power threshold (targeting the paper's
         //    per-network weight-value count).
-        let power_sel = PowerSelectStage.run(
-            &ctx,
-            PowerSelectInput {
-                profile: &chars.power_profile,
-                target: kind.paper_weight_target(),
-            },
-        );
+        let power_sel = select_power_count(&chars.power_profile, kind.paper_weight_target());
         let _ = retrain_with_retry(
             &ctx,
             &mut prepared,
@@ -369,14 +367,7 @@ impl Pipeline {
             if threshold_ps < window.floor_ps.max(timing.psum_floor_ps) {
                 break;
             }
-            let sel = DelaySelectStage.run(
-                &ctx,
-                DelaySelectInput {
-                    timing: &timing,
-                    candidates: &power_sel.weights,
-                    threshold_ps,
-                },
-            );
+            let sel = select_delay(&ctx, &timing, &power_sel.weights, threshold_ps);
             let acc = retrain_with_retry(
                 &ctx,
                 &mut prepared,
@@ -431,7 +422,8 @@ impl Pipeline {
         // 6. Proposed power (restricted network) + voltage scaling.
         let captures_prop = self.capture(&mut prepared);
         let (std_prop_raw, opt_prop_raw) = self.measure_power(&captures_prop, &chars.energy_model);
-        let scaling = VoltageScaleStage.run(&ctx, (window.base_max_rounded_ps, achieved_ps));
+        let scaling =
+            VoltageScaling::from_delays(&self.voltage, window.base_max_rounded_ps, achieved_ps);
         let scaled_model = chars
             .energy_model
             .scaled(scaling.dynamic_factor, scaling.leakage_factor);
@@ -493,13 +485,7 @@ impl Pipeline {
             acc_pruned,
         ));
 
-        let sel = PowerSelectStage.run(
-            &ctx,
-            PowerSelectInput {
-                profile: &chars.power_profile,
-                target: kind.paper_weight_target(),
-            },
-        );
+        let sel = select_power_count(&chars.power_profile, kind.paper_weight_target());
         let acc_prop = retrain_with_retry(
             &ctx,
             &mut prepared,
@@ -598,13 +584,7 @@ impl Pipeline {
             NetworkKind::EfficientNetLite => 86usize,
             _ => 48,
         };
-        let power_sel = PowerSelectStage.run(
-            &ctx,
-            PowerSelectInput {
-                profile: &chars.power_profile,
-                target: count,
-            },
-        );
+        let power_sel = select_power_count(&chars.power_profile, count);
         let acc0 = retrain_with_retry(
             &ctx,
             &mut prepared,
@@ -629,14 +609,7 @@ impl Pipeline {
             if threshold_ps < window.floor_ps.max(timing.psum_floor_ps) {
                 break;
             }
-            let sel = DelaySelectStage.run(
-                &ctx,
-                DelaySelectInput {
-                    timing: &timing,
-                    candidates: &power_sel.weights,
-                    threshold_ps,
-                },
-            );
+            let sel = select_delay(&ctx, &timing, &power_sel.weights, threshold_ps);
             let acc = retrain_with_retry(
                 &ctx,
                 &mut prepared,
@@ -665,8 +638,12 @@ mod tests {
     use super::stages::characterize::dataset_spec;
     use super::*;
 
+    /// A Micro pipeline without an artifact store: these tests check
+    /// stage outputs, not caching, and must leave no store behind.
     fn micro_pipeline() -> Pipeline {
-        Pipeline::new(PipelineConfig::for_scale(Scale::Micro))
+        let mut cfg = PipelineConfig::for_scale(Scale::Micro);
+        cfg.cache = false;
+        Pipeline::new(cfg)
     }
 
     #[test]
@@ -721,42 +698,10 @@ mod tests {
     }
 
     #[test]
-    fn stages_report_names() {
-        use super::stages::characterize::{CharacterizeStage, PrepareStage, TimingStage};
-        use super::stages::scale::{MeasurePowerStage, VoltageScaleStage};
-        use super::stages::select::{DelaySelectStage, PowerSelectStage};
-        use super::stages::Stage;
-        assert_eq!(Stage::<NetworkKind>::name(&PrepareStage), "prepare");
-        assert_eq!(
-            Stage::<&[nn::layers::GemmCapture]>::name(&CharacterizeStage),
-            "characterize"
-        );
-        assert_eq!(Stage::<f64>::name(&TimingStage), "timing");
-        assert_eq!(
-            Stage::<super::stages::select::PowerSelectInput>::name(&PowerSelectStage),
-            "select-power"
-        );
-        assert_eq!(
-            Stage::<super::stages::select::DelaySelectInput>::name(&DelaySelectStage),
-            "select-delay"
-        );
-        assert_eq!(
-            Stage::<super::stages::scale::MeasureInput>::name(&MeasurePowerStage),
-            "measure-power"
-        );
-        assert_eq!(
-            Stage::<(f64, f64)>::name(&VoltageScaleStage),
-            "voltage-scale"
-        );
-    }
-
-    #[test]
     fn voltage_stage_scales_with_slack() {
         let p = micro_pipeline();
-        use super::stages::scale::VoltageScaleStage;
-        use super::stages::Stage;
-        let none = VoltageScaleStage.run(&p.ctx(), (180.0, 180.0));
-        let some = VoltageScaleStage.run(&p.ctx(), (180.0, 150.0));
+        let none = VoltageScaling::from_delays(&p.voltage, 180.0, 180.0);
+        let some = VoltageScaling::from_delays(&p.voltage, 180.0, 150.0);
         assert!(some.dynamic_factor <= none.dynamic_factor);
     }
 }

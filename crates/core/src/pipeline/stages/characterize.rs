@@ -1,8 +1,12 @@
-//! Preparation and characterization stages: baseline QAT training, GEMM
-//! capture, statistics collection, per-weight power characterization
-//! (Fig. 2) and per-weight timing characterization (Fig. 3).
+//! The four cacheable steps: baseline QAT training ([`prepare`]), GEMM
+//! capture ([`capture`]), statistics collection plus per-weight power
+//! characterization ([`characterize()`], Fig. 2) and per-weight timing
+//! characterization ([`timing`], Fig. 3). [`Pipeline`] runs each under
+//! a span named after the function.
+//!
+//! [`Pipeline`]: crate::pipeline::Pipeline
 
-use super::{PipelineCtx, Stage};
+use super::PipelineCtx;
 use crate::cache::Trained;
 use crate::chars::{
     characterize_power, characterize_timing, PowerConfig, PsumBinning, TimingConfig,
@@ -72,7 +76,7 @@ fn build_network(
 
 /// The deterministic, cheap part of preparation: generated datasets
 /// plus the untrained network skeleton (quantization-aware, accuracy
-/// zeroed). [`PrepareStage`] trains it, or a training-cache hit loads
+/// zeroed). [`prepare`] trains it, or a training-cache hit loads
 /// the stored trained state over it. The returned RNG is positioned
 /// exactly after network construction, so training continues the same
 /// stream the pre-cache implementation used.
@@ -99,34 +103,23 @@ pub(crate) fn untrained_prepared(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> (P
 /// configuration, so an attached [`crate::cache::CharCache`] is
 /// consulted first (key: [`crate::cache::training_key`]) — a hit skips
 /// every training epoch and loads the bit-exact network state instead.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrepareStage;
-
-impl Stage<NetworkKind> for PrepareStage {
-    type Output = Prepared;
-
-    fn name(&self) -> &'static str {
-        "prepare"
-    }
-
-    fn run(&self, ctx: &PipelineCtx<'_>, kind: NetworkKind) -> Prepared {
-        let (mut prepared, mut rng) = untrained_prepared(ctx, kind);
-        let mut train_and_evaluate = |net: &mut Network| {
-            let config = ctx.cfg.train_config(ctx.cfg.baseline_epochs());
-            let _ = train(net, &prepared.train_data, &config, &mut rng);
-            let accuracy = evaluate(net, &prepared.test_data, 64);
-            Trained { accuracy }
-        };
-        prepared.accuracy = match ctx.cache {
-            Some(cache) => {
-                let key = crate::cache::training_key(ctx, kind);
-                cache.cached(ctx, key, &mut prepared.net, train_and_evaluate)
-            }
-            None => train_and_evaluate(&mut prepared.net),
+pub(crate) fn prepare(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> Prepared {
+    let (mut prepared, mut rng) = untrained_prepared(ctx, kind);
+    let mut train_and_evaluate = |net: &mut Network| {
+        let config = ctx.cfg.train_config(ctx.cfg.baseline_epochs());
+        let _ = train(net, &prepared.train_data, &config, &mut rng);
+        let accuracy = evaluate(net, &prepared.test_data, 64);
+        Trained { accuracy }
+    };
+    prepared.accuracy = match ctx.cache {
+        Some(cache) => {
+            let key = crate::cache::training_key(ctx, kind);
+            cache.cached(ctx, key, &mut prepared.net, train_and_evaluate)
         }
-        .accuracy;
-        prepared
+        None => train_and_evaluate(&mut prepared.net),
     }
+    .accuracy;
+    prepared
 }
 
 /// Captures the quantized GEMMs of a forward pass over a fixed
@@ -136,27 +129,16 @@ impl Stage<NetworkKind> for PrepareStage {
 /// batch, so an attached cache is consulted first (key:
 /// [`crate::cache::capture_key`]) — a hit replays the stored operand
 /// streams without running the forward pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CaptureStage;
-
-impl Stage<&mut Prepared> for CaptureStage {
-    type Output = Vec<GemmCapture>;
-
-    fn name(&self) -> &'static str {
-        "capture"
-    }
-
-    fn run(&self, ctx: &PipelineCtx<'_>, prepared: &mut Prepared) -> Vec<GemmCapture> {
-        let Some(cache) = ctx.cache else {
-            return capture_uncached(ctx, prepared);
-        };
-        let key = crate::cache::capture_key(ctx, prepared);
-        cache.cached(ctx, key, &mut (), |_| capture_uncached(ctx, prepared))
-    }
+pub(crate) fn capture(ctx: &PipelineCtx<'_>, prepared: &mut Prepared) -> Vec<GemmCapture> {
+    let Some(cache) = ctx.cache else {
+        return capture_uncached(ctx, prepared);
+    };
+    let key = crate::cache::capture_key(ctx, prepared);
+    cache.cached(ctx, key, &mut (), |_| capture_uncached(ctx, prepared))
 }
 
 /// The forward-capture body shared by the cached and uncached paths of
-/// [`CaptureStage`].
+/// [`capture`].
 fn capture_uncached(ctx: &PipelineCtx<'_>, prepared: &mut Prepared) -> Vec<GemmCapture> {
     let (x, _) = prepared.test_data.head(ctx.cfg.capture_batch());
     let (_, captures) = prepared.net.forward_capture(&x);
@@ -166,32 +148,21 @@ fn capture_uncached(ctx: &PipelineCtx<'_>, prepared: &mut Prepared) -> Vec<GemmC
 /// Statistics collection + per-weight power characterization from
 /// captured GEMMs (paper Figs. 2 and 4), bit-parallel on
 /// [`gatesim::BitSim`] (64 stimulus vectors per word).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CharacterizeStage;
-
-impl Stage<&[GemmCapture]> for CharacterizeStage {
-    type Output = Characterization;
-
-    fn name(&self) -> &'static str {
-        "characterize"
-    }
-
-    fn run(&self, ctx: &PipelineCtx<'_>, captures: &[GemmCapture]) -> Characterization {
-        // The whole artifact (statistics included) is a pure function
-        // of the hashed inputs, so a warmed store skips the systolic
-        // stats pass *and* every BitSim settle/transition sweep.
-        // Key derivation hashes every captured code stream, so it only
-        // runs when a cache is actually attached.
-        let Some(cache) = ctx.cache else {
-            return characterize_uncached(ctx, captures);
-        };
-        let key = crate::cache::characterization_key(ctx, captures);
-        cache.cached(ctx, key, &mut (), |_| characterize_uncached(ctx, captures))
-    }
+pub(crate) fn characterize(ctx: &PipelineCtx<'_>, captures: &[GemmCapture]) -> Characterization {
+    // The whole artifact (statistics included) is a pure function of the
+    // hashed inputs, so a warmed store skips the systolic stats pass
+    // *and* every BitSim settle/transition sweep. Key derivation hashes
+    // every captured code stream, so it only runs when a cache is
+    // actually attached.
+    let Some(cache) = ctx.cache else {
+        return characterize_uncached(ctx, captures);
+    };
+    let key = crate::cache::characterization_key(ctx, captures);
+    cache.cached(ctx, key, &mut (), |_| characterize_uncached(ctx, captures))
 }
 
 /// The gate-level characterization body shared by the cached and
-/// uncached paths of [`CharacterizeStage`].
+/// uncached paths of [`characterize`].
 fn characterize_uncached(ctx: &PipelineCtx<'_>, captures: &[GemmCapture]) -> Characterization {
     let cfg = ctx.cfg;
     let stats = ctx.array.run_network_stats(captures);
@@ -225,27 +196,16 @@ fn characterize_uncached(ctx: &PipelineCtx<'_>, captures: &[GemmCapture]) -> Cha
 
 /// Per-weight timing characterization with a slow-combination floor
 /// (paper Fig. 3), batched on [`gatesim::BatchSim`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimingStage;
-
-impl Stage<f64> for TimingStage {
-    type Output = WeightTimingProfile;
-
-    fn name(&self) -> &'static str {
-        "timing"
-    }
-
-    fn run(&self, ctx: &PipelineCtx<'_>, slow_floor_ps: f64) -> WeightTimingProfile {
-        let Some(cache) = ctx.cache else {
-            return timing_uncached(ctx, slow_floor_ps);
-        };
-        let key = crate::cache::timing_key(ctx, slow_floor_ps);
-        cache.cached(ctx, key, &mut (), |_| timing_uncached(ctx, slow_floor_ps))
-    }
+pub(crate) fn timing(ctx: &PipelineCtx<'_>, slow_floor_ps: f64) -> WeightTimingProfile {
+    let Some(cache) = ctx.cache else {
+        return timing_uncached(ctx, slow_floor_ps);
+    };
+    let key = crate::cache::timing_key(ctx, slow_floor_ps);
+    cache.cached(ctx, key, &mut (), |_| timing_uncached(ctx, slow_floor_ps))
 }
 
 /// The gate-level timing body shared by the cached and uncached paths
-/// of [`TimingStage`].
+/// of [`timing`].
 fn timing_uncached(ctx: &PipelineCtx<'_>, slow_floor_ps: f64) -> WeightTimingProfile {
     let (exhaustive, samples) = ctx.cfg.timing_exhaustive();
     characterize_timing(

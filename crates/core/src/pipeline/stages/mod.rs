@@ -1,20 +1,20 @@
-//! Pipeline stages: each step of the PowerPruning flow as a small,
-//! independently invokable unit over a shared [`PipelineCtx`].
+//! The steps of the PowerPruning flow as plain functions over a shared
+//! [`PipelineCtx`], composed into the paper's experiments by
+//! [`Pipeline`](crate::pipeline::Pipeline).
 //!
-//! The [`Pipeline`](crate::pipeline::Pipeline) driver composes these
-//! stages into the paper's experiments; future work can cache, shard or
-//! distribute individual stages without touching the others because
-//! every stage only sees the context and its explicit input.
-//!
-//! * [`characterize`] — baseline training, GEMM capture, power/timing
-//!   characterization (paper Figs. 2–4).
+//! * `characterize` (crate-private) — baseline training, GEMM capture,
+//!   power/timing characterization (paper Figs. 2–4), run through the
+//!   matching [`Pipeline`](crate::pipeline::Pipeline) methods.
+//!   Each of these four steps consults the attached artifact cache
+//!   before computing.
 //! * [`select`] — weight selection by power, joint weight/activation
 //!   selection by delay, and the shared retraining helpers (Figs. 8–9).
-//! * [`scale`] — systolic power measurement and supply-voltage scaling
-//!   of freed timing slack (Table I).
+//!
+//! Power measurement and voltage scaling (Table I) are single calls
+//! `Pipeline` makes itself: [`systolic::SystolicArray::run_network_energy`]
+//! and [`crate::voltage::VoltageScaling::from_delays`].
 
-pub mod characterize;
-pub mod scale;
+pub(crate) mod characterize;
 pub mod select;
 
 use crate::cache::CharCache;
@@ -23,7 +23,7 @@ use crate::pipeline::PipelineConfig;
 use crate::voltage::VoltageModel;
 use systolic::SystolicArray;
 
-/// Shared, read-only context handed to every stage: the configuration
+/// Shared, read-only context handed to every step: the configuration
 /// plus the long-lived hardware models of the run.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineCtx<'a> {
@@ -35,24 +35,7 @@ pub struct PipelineCtx<'a> {
     pub array: &'a SystolicArray,
     /// The supply-voltage model used for slack conversion.
     pub voltage: &'a VoltageModel,
-    /// The characterization artifact cache, when enabled. Stages that
+    /// The characterization artifact cache, when enabled. Steps that
     /// produce pure-function artifacts consult it before simulating.
     pub cache: Option<&'a CharCache>,
-}
-
-/// One step of the flow: a pure-ish function from `Input` to `Output`
-/// over the shared context.
-///
-/// The input type is a trait parameter (not an associated type) so
-/// stages can borrow their input (`&[GemmCapture]`, `&WeightPowerProfile`,
-/// …) without generic-associated-type machinery.
-pub trait Stage<Input> {
-    /// The stage's result.
-    type Output;
-
-    /// Stable name for logs and progress reporting.
-    fn name(&self) -> &'static str;
-
-    /// Runs the stage.
-    fn run(&self, ctx: &PipelineCtx<'_>, input: Input) -> Self::Output;
 }

@@ -1,8 +1,8 @@
-//! Selection stages: weight selection by power threshold (Fig. 8) and
+//! Selection steps: weight selection by power threshold (Fig. 8) and
 //! the joint weight/activation delay sweep (Fig. 9), plus the shared
 //! retraining helper both sweeps use.
 
-use super::{PipelineCtx, Stage};
+use super::PipelineCtx;
 use crate::cache::{retrain_key, RetrainMode, Retrained};
 use crate::chars::{WeightPowerProfile, WeightTimingProfile};
 use crate::pipeline::Prepared;
@@ -13,70 +13,33 @@ use crate::select::{DelaySelection, PowerSelection};
 use nn::model::Network;
 use rand::rngs::StdRng;
 
-/// Weight selection by power threshold, targeting a weight-value count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PowerSelectStage;
-
-/// Input of [`PowerSelectStage`]: the power profile and the target
-/// number of weight values to keep.
-#[derive(Debug, Clone, Copy)]
-pub struct PowerSelectInput<'a> {
-    /// The characterized per-weight power profile.
-    pub profile: &'a WeightPowerProfile,
-    /// Target number of kept weight values (clamped to the profile).
-    pub target: usize,
+/// Weight selection by power threshold, keeping the `target` cheapest
+/// weight values (clamped to the profile).
+pub(crate) fn select_power_count(profile: &WeightPowerProfile, target: usize) -> PowerSelection {
+    let target = target.min(profile.codes().len());
+    select_by_power(profile, threshold_for_count(profile, target))
 }
 
-impl Stage<PowerSelectInput<'_>> for PowerSelectStage {
-    type Output = PowerSelection;
-
-    fn name(&self) -> &'static str {
-        "select-power"
-    }
-
-    fn run(&self, _ctx: &PipelineCtx<'_>, input: PowerSelectInput<'_>) -> PowerSelection {
-        let target = input.target.min(input.profile.codes().len());
-        let threshold = threshold_for_count(input.profile, target);
-        select_by_power(input.profile, threshold)
-    }
-}
-
-/// Joint weight/activation selection at one delay threshold.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DelaySelectStage;
-
-/// Input of [`DelaySelectStage`].
-#[derive(Debug, Clone, Copy)]
-pub struct DelaySelectInput<'a> {
-    /// The timing profile to select against.
-    pub timing: &'a WeightTimingProfile,
-    /// Candidate weight codes (the power-selected set).
-    pub candidates: &'a [i32],
-    /// Delay threshold, ps.
-    pub threshold_ps: f64,
-}
-
-impl Stage<DelaySelectInput<'_>> for DelaySelectStage {
-    type Output = DelaySelection;
-
-    fn name(&self) -> &'static str {
-        "select-delay"
-    }
-
-    fn run(&self, ctx: &PipelineCtx<'_>, input: DelaySelectInput<'_>) -> DelaySelection {
-        select_by_delay(
-            input.timing,
-            input.candidates,
-            ctx.hw.act_levels(),
-            &DelaySelectionConfig {
-                threshold_ps: input.threshold_ps,
-                restarts: ctx.cfg.restarts(),
-                seed: ctx.cfg.seed ^ 0x5e1ec7,
-                protected_weights: vec![0],
-                activation_bias: 4,
-            },
-        )
-    }
+/// Joint weight/activation selection at one delay threshold, over the
+/// `candidates` weight codes (the power-selected set).
+pub(crate) fn select_delay(
+    ctx: &PipelineCtx<'_>,
+    timing: &WeightTimingProfile,
+    candidates: &[i32],
+    threshold_ps: f64,
+) -> DelaySelection {
+    select_by_delay(
+        timing,
+        candidates,
+        ctx.hw.act_levels(),
+        &DelaySelectionConfig {
+            threshold_ps,
+            restarts: ctx.cfg.restarts(),
+            seed: ctx.cfg.seed ^ 0x5e1ec7,
+            protected_weights: vec![0],
+            activation_bias: 4,
+        },
+    )
 }
 
 /// The delay-sweep search window derived from an unfloored probe

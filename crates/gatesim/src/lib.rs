@@ -76,37 +76,3 @@ pub use intervals::{NetInterval, PrunePlan};
 pub use netlist::{Gate, GateId, NetId, Netlist};
 pub use sim::{Simulator, TransitionStats};
 pub use sta::Sta;
-
-use std::error::Error;
-use std::fmt;
-
-/// Errors produced while constructing or using netlists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BuildCircuitError {
-    /// A gate referenced a net that does not exist yet.
-    UnknownNet(u32),
-    /// An operand width was zero or otherwise unusable.
-    InvalidWidth(usize),
-    /// The number of supplied input bits does not match the port list.
-    InputLengthMismatch {
-        /// Number of bits expected by the netlist's input ports.
-        expected: usize,
-        /// Number of bits supplied by the caller.
-        actual: usize,
-    },
-}
-
-impl fmt::Display for BuildCircuitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildCircuitError::UnknownNet(id) => write!(f, "unknown net id {id}"),
-            BuildCircuitError::InvalidWidth(w) => write!(f, "invalid operand width {w}"),
-            BuildCircuitError::InputLengthMismatch { expected, actual } => {
-                write!(f, "expected {expected} input bits, got {actual}")
-            }
-        }
-    }
-}
-
-impl Error for BuildCircuitError {}

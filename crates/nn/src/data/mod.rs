@@ -1,9 +1,7 @@
 //! Datasets and batch iteration.
 
-pub mod augment;
 pub mod synthetic;
 
-pub use augment::AugmentConfig;
 pub use synthetic::SyntheticSpec;
 
 use crate::tensor::Tensor;

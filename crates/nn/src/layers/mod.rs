@@ -9,14 +9,12 @@
 pub mod activation;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod norm;
 pub mod pool;
 
 pub use activation::QuantReLU;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use norm::BatchNorm2d;
 pub use pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d};
 

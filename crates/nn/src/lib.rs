@@ -49,7 +49,6 @@ pub mod data;
 pub mod layers;
 pub mod linalg;
 pub mod loss;
-pub mod metrics;
 pub mod model;
 pub mod models;
 pub mod optim;

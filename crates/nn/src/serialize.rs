@@ -1,21 +1,15 @@
-//! Network weight and state persistence, plus GEMM-capture wire codecs.
+//! Network state persistence, plus GEMM-capture wire codecs.
 //!
-//! A deliberately simple binary container (magic, version, per-tensor
-//! shape + little-endian `f32` payloads) so trained baselines can be
-//! reused across experiment runs without re-training. Works through any
-//! `Read`/`Write`, so callers can target files, buffers or pipes; note
-//! that a `&mut` reference to a reader/writer also implements the trait
-//! and can be passed here.
-//!
-//! Two container flavours share the tensor encoding:
-//!
-//! * [`save_weights`]/[`load_weights`] (`PPNNWTS1`) — trainable
-//!   parameters only; the original format, kept for compatibility.
-//! * [`save_state`]/[`load_state`] (`PPNNSTA1`) — parameters **plus**
-//!   non-trainable buffers (batch-norm running statistics). This is the
-//!   bit-exact inference state of a trained network, and what the
-//!   pipeline's training cache persists: restoring parameters alone
-//!   would change batch-norm inference outputs.
+//! [`save_state`]/[`load_state`] use a deliberately simple binary
+//! container (`PPNNSTA1` magic, per-tensor shape + little-endian `f32`
+//! payloads) holding a network's parameters **plus** its non-trainable
+//! buffers (batch-norm running statistics). This is the bit-exact
+//! inference state of a trained network, and what the pipeline's
+//! training cache persists: restoring parameters alone would change
+//! batch-norm inference outputs. Both work through any `Read`/`Write`,
+//! so callers can target files, buffers or pipes; note that a `&mut`
+//! reference to a reader/writer also implements the trait and can be
+//! passed here.
 //!
 //! [`write_captures`]/[`read_captures`] are the bit-exact wire codecs
 //! for [`GemmCapture`] traces, so captured forward passes can live in
@@ -27,42 +21,13 @@ use crate::tensor::Tensor;
 use charstore::wire::{self, Reader};
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 8] = b"PPNNWTS1";
 const STATE_MAGIC: &[u8; 8] = b"PPNNSTA1";
-
-/// Writes the tensor list shared by both container flavours: count,
-/// then per-tensor rank, shape and little-endian `f32` payload.
-fn write_tensors<W: Write>(mut w: W, tensors: &[(Vec<usize>, Vec<f32>)]) -> io::Result<()> {
-    w.write_all(&(tensors.len() as u64).to_le_bytes())?;
-    for (shape, data) in tensors {
-        w.write_all(&(shape.len() as u64).to_le_bytes())?;
-        for &dim in shape {
-            w.write_all(&(dim as u64).to_le_bytes())?;
-        }
-        for &v in data {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Writes every trainable parameter of `net` to `w`.
-///
-/// # Errors
-///
-/// Returns any I/O error from the underlying writer.
-pub fn save_weights<W: Write>(net: &mut Network, mut w: W) -> io::Result<()> {
-    let mut tensors: Vec<(Vec<usize>, Vec<f32>)> = Vec::new();
-    net.visit_params(&mut |p| {
-        tensors.push((p.value.shape().to_vec(), p.value.data().to_vec()));
-    });
-    w.write_all(MAGIC)?;
-    write_tensors(w, &tensors)
-}
 
 /// Writes every trainable parameter *and* every non-trainable state
 /// buffer of `net` to `w` — the complete inference state of a trained
-/// network.
+/// network: the parameter count, then per parameter its rank, shape and
+/// little-endian `f32` payload, then the buffer count and per buffer
+/// its length and payload.
 ///
 /// # Errors
 ///
@@ -75,7 +40,16 @@ pub fn save_state<W: Write>(net: &mut Network, mut w: W) -> io::Result<()> {
     let mut buffers: Vec<Vec<f32>> = Vec::new();
     net.visit_buffers(&mut |b| buffers.push(b.clone()));
     w.write_all(STATE_MAGIC)?;
-    write_tensors(&mut w, &tensors)?;
+    w.write_all(&(tensors.len() as u64).to_le_bytes())?;
+    for (shape, data) in &tensors {
+        w.write_all(&(shape.len() as u64).to_le_bytes())?;
+        for &dim in shape {
+            w.write_all(&(dim as u64).to_le_bytes())?;
+        }
+        for &v in data {
+            w.write_all(&v.to_le_bytes())?;
+        }
+    }
     w.write_all(&(buffers.len() as u64).to_le_bytes())?;
     for buf in &buffers {
         w.write_all(&(buf.len() as u64).to_le_bytes())?;
@@ -114,8 +88,8 @@ fn read_u64<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
     read_field(r, what).map(u64::from_le_bytes)
 }
 
-/// Reads the tensor list shared by both container flavours, with the
-/// full hardening discipline (see [`load_weights`]).
+/// Reads the parameter tensor list of a state file, with the full
+/// hardening discipline (see [`load_state`]).
 fn read_tensors<R: Read>(r: &mut R) -> io::Result<Vec<Tensor>> {
     let count64 = read_u64(r, "tensor count")?;
     if count64 > MAX_TENSORS {
@@ -172,20 +146,11 @@ fn read_f32_payload<R: Read>(r: &mut R, len: u64, what: &str) -> io::Result<Vec<
         .collect())
 }
 
-/// Rejects any bytes remaining in `r`.
-fn reject_trailing<R: Read>(r: &mut R, what: &str) -> io::Result<()> {
-    let mut trailing = [0u8; 1];
-    if r.read(&mut trailing)? != 0 {
-        return Err(invalid(format!("trailing bytes after the last {what}")));
-    }
-    Ok(())
-}
-
-/// Loads decoded parameters, and for a state file its buffers, into
-/// `net`: all or nothing. Every parameter shape and buffer length is
-/// checked before the first assignment, so a file that does not fit
-/// leaves `net` exactly as it was.
-fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: Option<&[Vec<f32>]>) -> io::Result<()> {
+/// Loads decoded parameters and buffers into `net`: all or nothing.
+/// Every parameter shape and buffer length is checked before the first
+/// assignment, so a file that does not fit leaves `net` exactly as it
+/// was.
+fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: &[Vec<f32>]) -> io::Result<()> {
     let mut shapes: Vec<Vec<usize>> = Vec::new();
     net.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
     if shapes.len() != tensors.len() {
@@ -203,64 +168,42 @@ fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: Option<&[Vec<f32>]>)
             )));
         }
     }
-    if let Some(buffers) = buffers {
-        let mut lens: Vec<usize> = Vec::new();
-        net.visit_buffers(&mut |b| lens.push(b.len()));
-        if lens.len() != buffers.len() {
+    let mut lens: Vec<usize> = Vec::new();
+    net.visit_buffers(&mut |b| lens.push(b.len()));
+    if lens.len() != buffers.len() {
+        return Err(invalid(format!(
+            "file has {} buffers, network has {} buffers",
+            buffers.len(),
+            lens.len()
+        )));
+    }
+    for (idx, (&len, decoded)) in lens.iter().zip(buffers).enumerate() {
+        if len != decoded.len() {
             return Err(invalid(format!(
-                "file has {} buffers, network has {} buffers",
-                buffers.len(),
-                lens.len()
+                "buffer {idx} length {len} != file length {}",
+                decoded.len()
             )));
         }
-        for (idx, (&len, decoded)) in lens.iter().zip(buffers).enumerate() {
-            if len != decoded.len() {
-                return Err(invalid(format!(
-                    "buffer {idx} length {len} != file length {}",
-                    decoded.len()
-                )));
-            }
-        }
-        let mut decoded = buffers.iter();
-        net.visit_buffers(&mut |b| b.copy_from_slice(decoded.next().expect("counts checked")));
     }
+    let mut decoded = buffers.iter();
+    net.visit_buffers(&mut |b| b.copy_from_slice(decoded.next().expect("counts checked")));
     let mut tensors = tensors.into_iter();
     net.visit_params(&mut |p| p.value = tensors.next().expect("counts checked"));
     Ok(())
-}
-
-/// Reads parameters written by [`save_weights`] into `net`, which must
-/// have the identical structure.
-///
-/// Hardened against hostile or truncated input: the `u64` tensor,
-/// rank and shape fields are bounded *before* any allocation (a
-/// corrupted count can never trigger a huge `Vec::with_capacity`),
-/// payload buffers grow only as bytes actually arrive, and trailing
-/// bytes after the last tensor are rejected. Nothing is assigned until
-/// the whole file has decoded and every shape matches, so on any error
-/// `net` is left untouched.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure, bad magic, implausible or
-/// truncated contents, trailing bytes, or structure mismatch — all
-/// malformed-input cases as [`io::ErrorKind::InvalidData`].
-pub fn load_weights<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
-    if &read_field(&mut r, "magic")? != MAGIC {
-        return Err(invalid("not a PowerPruning weight file"));
-    }
-    let tensors = read_tensors(&mut r)?;
-    reject_trailing(&mut r, "tensor")?;
-    assign(net, tensors, None)
 }
 
 /// Reads a full network state written by [`save_state`] into `net`,
 /// which must have the identical structure (same parameters *and* the
 /// same buffer layout).
 ///
-/// Hardened exactly like [`load_weights`]; buffer counts and lengths
-/// are bounded before allocation too. Like [`load_weights`], it loads
-/// all or nothing: on any error `net` is left untouched.
+/// Hardened against hostile or truncated input: the `u64` tensor
+/// count, rank, shape, buffer count and buffer length fields are
+/// bounded *before* any allocation (a corrupted count can never trigger
+/// a huge `Vec::with_capacity`), payload buffers grow only as bytes
+/// actually arrive, input that ends inside any field is truncated, and
+/// trailing bytes after the last buffer are rejected. Nothing is
+/// assigned until the whole file has decoded and every shape and
+/// buffer length matches, so on any error `net` is left untouched.
 ///
 /// # Errors
 ///
@@ -289,8 +232,10 @@ pub fn load_state<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
         }
         buffers.push(read_f32_payload(&mut r, len, &format!("buffer {idx}"))?);
     }
-    reject_trailing(&mut r, "buffer")?;
-    assign(net, tensors, Some(&buffers))
+    if r.read(&mut [0u8; 1])? != 0 {
+        return Err(invalid("trailing bytes after the last buffer"));
+    }
+    assign(net, tensors, &buffers)
 }
 
 /// Encodes a capture trace — the quantized GEMM operand streams of one
@@ -312,7 +257,7 @@ pub fn write_captures(captures: &[GemmCapture], out: &mut Vec<u8>) {
 
 /// Decodes a capture trace written by [`write_captures`].
 ///
-/// Hardened like the network codecs: counts are bounded against the
+/// Hardened like [`load_state`]: counts are bounded against the
 /// remaining input before any allocation, and each GEMM's code vectors
 /// must match its declared `m×k` / `k×n` geometry.
 ///
@@ -369,38 +314,33 @@ mod tests {
         let before = net.predict(&x);
 
         let mut buf = Vec::new();
-        save_weights(&mut net, &mut buf).expect("save");
+        save_state(&mut net, &mut buf).expect("save");
 
         let mut other = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(99));
         assert_ne!(other.predict(&x).data(), before.data());
-        load_weights(&mut other, buf.as_slice()).expect("load");
+        load_state(&mut other, buf.as_slice()).expect("load");
         assert_eq!(other.predict(&x).data(), before.data());
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let err = load_weights(&mut net, &b"NOTMAGIC"[..]).unwrap_err();
+        let err = load_state(&mut net, &b"NOTMAGIC"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn structure_mismatch_is_rejected() {
         let mut a = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = Vec::new();
-        save_weights(&mut a, &mut buf).expect("save");
-        let mut b = models::tiny_cnn("b", 1, 8, 5, &mut StdRng::seed_from_u64(4));
-        assert!(load_weights(&mut b, buf.as_slice()).is_err());
-
-        // A rejected state load leaves the target untouched, although
-        // every parameter before the classifier would fit.
         let mut state = Vec::new();
         save_state(&mut a, &mut state).expect("save state");
+
+        // A rejected load leaves the target untouched, although every
+        // parameter before the classifier would fit.
         let mut target = models::tiny_cnn("b", 1, 8, 5, &mut StdRng::seed_from_u64(5));
         let mut before = Vec::new();
         save_state(&mut target, &mut before).expect("save state");
         assert!(load_state(&mut target, state.as_slice()).is_err());
-        assert!(load_weights(&mut target, buf.as_slice()).is_err());
         let mut after = Vec::new();
         save_state(&mut target, &mut after).expect("save state");
         assert_eq!(after, before, "a rejected load changed the network");
@@ -408,25 +348,15 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected() {
-        // Every strict prefix of a weights file and of a state file is
-        // truncated input, wherever the cut falls: `InvalidData`, with
-        // the target network untouched.
+        // Every strict prefix of a state file is truncated input,
+        // wherever the cut falls: `InvalidData`, with the target network
+        // untouched.
         let mut source = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut weights = Vec::new();
-        save_weights(&mut source, &mut weights).expect("save");
         let mut state = Vec::new();
         save_state(&mut source, &mut state).expect("save state");
         let mut target = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(99));
         let mut before = Vec::new();
         save_state(&mut target, &mut before).expect("save state");
-        for cut in 0..weights.len() {
-            let err = load_weights(&mut target, &weights[..cut]).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::InvalidData,
-                "weights cut at {cut}: {err}"
-            );
-        }
         for cut in 0..state.len() {
             let err = load_state(&mut target, &state[..cut]).unwrap_err();
             assert_eq!(
@@ -443,9 +373,9 @@ mod tests {
     #[test]
     fn hostile_tensor_count_is_rejected_without_allocation() {
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = MAGIC.to_vec();
+        let mut buf = STATE_MAGIC.to_vec();
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = load_weights(&mut net, buf.as_slice()).unwrap_err();
+        let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("implausible tensor count"));
     }
@@ -453,10 +383,10 @@ mod tests {
     #[test]
     fn hostile_rank_is_rejected() {
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = MAGIC.to_vec();
+        let mut buf = STATE_MAGIC.to_vec();
         buf.extend_from_slice(&1u64.to_le_bytes()); // one tensor
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd rank
-        let err = load_weights(&mut net, buf.as_slice()).unwrap_err();
+        let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("implausible rank"));
     }
@@ -464,12 +394,12 @@ mod tests {
     #[test]
     fn overflowing_shape_is_rejected_without_allocation() {
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = MAGIC.to_vec();
+        let mut buf = STATE_MAGIC.to_vec();
         buf.extend_from_slice(&1u64.to_le_bytes()); // one tensor
         buf.extend_from_slice(&2u64.to_le_bytes()); // rank 2
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = load_weights(&mut net, buf.as_slice()).unwrap_err();
+        let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("overflows"));
     }
@@ -479,12 +409,12 @@ mod tests {
         // A shape claiming ~1 GiB of f32s backed by 8 actual bytes must
         // fail via the bounded read, not allocate the declared size.
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = MAGIC.to_vec();
+        let mut buf = STATE_MAGIC.to_vec();
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&1u64.to_le_bytes()); // rank 1
         buf.extend_from_slice(&(1u64 << 28).to_le_bytes()); // 2^28 elements
         buf.extend_from_slice(&[0u8; 8]); // only 8 payload bytes present
-        let err = load_weights(&mut net, buf.as_slice()).unwrap_err();
+        let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated"));
     }
@@ -493,9 +423,9 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
         let mut buf = Vec::new();
-        save_weights(&mut net, &mut buf).expect("save");
+        save_state(&mut net, &mut buf).expect("save");
         buf.push(0xab);
-        let err = load_weights(&mut net, buf.as_slice()).unwrap_err();
+        let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("trailing"));
     }
@@ -518,7 +448,7 @@ mod tests {
     fn state_round_trip_restores_batchnorm_buffers() {
         let mut net = bn_net(7);
         // A few training passes move the running statistics off their
-        // initial values — the part save_weights does not cover.
+        // initial values and leave the parameters as they were.
         let x = Tensor::full(&[2, 1, 8, 8], 0.7);
         for _ in 0..3 {
             let _ = net.forward_train(&x);
@@ -528,17 +458,13 @@ mod tests {
         let mut buf = Vec::new();
         save_state(&mut net, &mut buf).expect("save");
 
-        let mut weights_only = bn_net(99);
-        load_weights(&mut weights_only, {
-            let mut wbuf = Vec::new();
-            save_weights(&mut net, &mut wbuf).expect("save weights");
-            io::Cursor::new(wbuf)
-        })
-        .expect("load weights");
+        // The same parameters without the running statistics: a fresh
+        // net built with the same seed.
+        let mut params_only = bn_net(7);
         assert_ne!(
-            weights_only.predict(&x).data(),
+            params_only.predict(&x).data(),
             before.data(),
-            "weights-only restore must miss the running statistics"
+            "parameters alone must miss the running statistics"
         );
 
         let mut full = bn_net(99);
@@ -569,9 +495,11 @@ mod tests {
 
     #[test]
     fn state_rejects_weights_magic() {
+        // A valid state body behind the retired parameters-only magic.
         let mut net = bn_net(3);
         let mut buf = Vec::new();
-        save_weights(&mut net, &mut buf).expect("save");
+        save_state(&mut net, &mut buf).expect("save");
+        buf[..8].copy_from_slice(b"PPNNWTS1");
         let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

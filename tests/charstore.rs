@@ -229,63 +229,55 @@ fn timing_artifacts_round_trip_across_multiplier_generators() {
     }
 }
 
-/// Flat→sharded migration: a store laid out by the pre-sharding code
-/// (all objects directly under `objects/`) opens under the new code
-/// with every get a hit, the hit objects migrate into their shards, and
-/// `verify` passes over the result.
+/// Objects left directly under `objects/` by the pre-sharding layout
+/// are not read: each lookup of their key is a counted miss, never an
+/// error or a wrong artifact; the recompute's `put` lands in the shard
+/// and reads back; `entries` and `verify` see only sharded objects.
 #[test]
-fn flat_layout_store_migrates_and_verifies() {
-    let dir = scratch_dir("flat-migrate");
-
-    // Build content through the current API, then flatten the layout to
-    // what the old code produced: objects/<hex>.ppc, no shard dirs.
-    let store = Store::open(&dir).expect("open");
+fn flat_layout_objects_are_misses_not_errors() {
+    let dir = scratch_dir("flat-miss");
+    let artifact = |n: usize| vec![Section::new(1, vec![n as u8; 64 + n])];
     let keys: Vec<Digest128> = (0u64..12)
         .map(|n| charstore::digest_bytes("flat-key", &n.to_le_bytes()))
         .collect();
+
+    // Build content through the current API, then move every object
+    // to where the pre-sharding code kept it: objects/<hex>.ppc.
+    let store = Store::open(&dir).expect("open");
     for (n, &k) in keys.iter().enumerate() {
-        store
-            .put(k, vec![Section::new(1, vec![n as u8; 64 + n])])
-            .expect("put");
+        store.put(k, artifact(n)).expect("put");
     }
     drop(store);
     let objects = dir.join("objects");
     for path in find_objects(&objects) {
         let flat = objects.join(path.file_name().expect("file name"));
-        if path != flat {
-            std::fs::rename(&path, &flat).expect("flatten");
-            let _ = std::fs::remove_dir(path.parent().expect("shard"));
-        }
-    }
-    for path in find_objects(&objects) {
-        assert_eq!(
-            path.parent().expect("parent"),
-            objects,
-            "fixture must be fully flat"
-        );
+        std::fs::rename(&path, &flat).expect("flatten");
     }
 
-    // New code over the old layout: every get hits and migrates.
-    let migrated = Store::open(&dir).expect("re-open");
+    let reopened = Store::open(&dir).expect("re-open");
+    assert!(reopened.entries().expect("entries").is_empty());
     for (n, &k) in keys.iter().enumerate() {
-        let sections = migrated.get(k).expect("flat object must hit");
-        assert_eq!(*sections, vec![Section::new(1, vec![n as u8; 64 + n])]);
+        assert!(!reopened.contains(k));
+        assert!(reopened.get(k).is_none(), "a flat object must miss");
+        reopened
+            .put(k, artifact(n))
+            .expect("recompute lands in the shard");
     }
-    assert_eq!(migrated.counters().disk_hits, 12);
-    assert_eq!(migrated.counters().misses, 0);
-    for path in find_objects(&objects) {
-        assert_ne!(
-            path.parent().expect("parent"),
-            objects,
-            "object {} was not migrated into a shard",
-            path.display()
-        );
+    let c = reopened.counters();
+    assert_eq!((c.misses, c.disk_hits), (12, 0));
+
+    // The recomputed objects read back from disk; the 12 flat files
+    // still sit beside them but are neither listed nor verified.
+    let fresh = Store::open(&dir).expect("fresh instance");
+    for (n, &k) in keys.iter().enumerate() {
+        assert_eq!(*fresh.get(k).expect("sharded object must hit"), artifact(n));
     }
-    // The migrated store lists fully and re-checksums clean.
-    assert_eq!(migrated.entries().expect("entries").len(), 12);
-    let report = migrated.verify().expect("verify");
-    assert_eq!(report.checked, 12);
-    assert!(report.is_clean(), "corrupt after migration: {report:?}");
+    assert_eq!(fresh.counters().disk_hits, 12);
+    assert_eq!(find_objects(&objects).len(), 24);
+    assert_eq!(fresh.entries().expect("entries").len(), 12);
+    let report = fresh.verify().expect("verify");
+    assert_eq!((report.checked, report.ok), (12, 12));
+    assert!(report.is_clean(), "verify over sharded objects: {report:?}");
 
     let _ = std::fs::remove_dir_all(dir);
 }

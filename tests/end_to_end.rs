@@ -4,8 +4,12 @@
 
 use powerpruning::pipeline::{NetworkKind, Pipeline, PipelineConfig, Scale};
 
+/// A Micro pipeline without an artifact store: these tests check the
+/// flow's outputs, not caching, and must leave no store behind.
 fn micro() -> Pipeline {
-    Pipeline::new(PipelineConfig::for_scale(Scale::Micro))
+    let mut cfg = PipelineConfig::for_scale(Scale::Micro);
+    cfg.cache = false;
+    Pipeline::new(cfg)
 }
 
 #[test]

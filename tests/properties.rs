@@ -6,6 +6,7 @@ use gatesim::{CellLibrary, Simulator, Sta};
 use nn::quant::{ActQuantizer, ValueSet, WeightQuantizer};
 use nn::Tensor;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 proptest! {
     /// The Baugh-Wooley multiplier netlist implements integer
@@ -268,5 +269,111 @@ proptest! {
         nn::serialize::save_state(&mut net, &mut after).unwrap();
         prop_assert_eq!(before, after, "sparsity 0.0 changed the network");
         prop_assert!(masks.iter().all(|m| m.iter().all(|&b| !b)));
+    }
+}
+
+/// Valid encodings of a `tiny_cnn` state and of the capture trace of
+/// its forward pass: the seeds the truncation and byte-flip property
+/// below mutates.
+fn nn_encodings() -> &'static (Vec<u8>, Vec<u8>) {
+    static ENCODINGS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut net = nn::models::tiny_cnn("prop-state", 1, 8, 3, &mut StdRng::seed_from_u64(4));
+        let mut state = Vec::new();
+        nn::serialize::save_state(&mut net, &mut state).unwrap();
+        let (_, captures) = net.forward_capture(&Tensor::full(&[1, 1, 8, 8], 0.3));
+        assert!(!captures.is_empty());
+        let mut trace = Vec::new();
+        nn::serialize::write_captures(&captures, &mut trace);
+        (state, trace)
+    })
+}
+
+/// Feeds `bytes` to both nn decoders, loading states into a `tiny_cnn`
+/// of the encoded structure. Neither may panic or fail with anything
+/// but `InvalidData`. A failed `load_state` leaves the network's
+/// `save_state` bytes unchanged, and a successful one makes them equal
+/// the input. A capture trace that decodes re-encodes to exactly the
+/// bytes it consumed.
+fn assert_nn_decoders_hold(bytes: &[u8]) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let save = |net: &mut nn::Network| {
+        let mut out = Vec::new();
+        nn::serialize::save_state(net, &mut out).unwrap();
+        out
+    };
+    let mut target = nn::models::tiny_cnn("prop-state", 1, 8, 3, &mut StdRng::seed_from_u64(99));
+    let before = save(&mut target);
+    match nn::serialize::load_state(&mut target, bytes) {
+        Ok(()) => assert_eq!(save(&mut target), bytes),
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            assert_eq!(
+                save(&mut target),
+                before,
+                "a failed load changed the network"
+            );
+        }
+    }
+    let mut r = charstore::wire::Reader::new(bytes);
+    match nn::serialize::read_captures(&mut r) {
+        Ok(captures) => {
+            let mut again = Vec::new();
+            nn::serialize::write_captures(&captures, &mut again);
+            assert_eq!(again, &bytes[..bytes.len() - r.remaining()]);
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes: raw, behind a small count (the capture count),
+    /// and behind the state magic plus a small tensor count, so both
+    /// decoders get past their headers into the entries.
+    #[test]
+    fn nn_decoders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..400),
+        count in 0u64..6,
+    ) {
+        assert_nn_decoders_hold(&bytes);
+        let mut counted = count.to_le_bytes().to_vec();
+        counted.extend_from_slice(&bytes);
+        assert_nn_decoders_hold(&counted);
+        let mut state = b"PPNNSTA1".to_vec();
+        state.extend_from_slice(&counted);
+        assert_nn_decoders_hold(&state);
+    }
+
+    /// Every strict prefix of a valid state file or capture trace fails
+    /// cleanly; a single flipped byte, or one byte appended, either
+    /// fails cleanly or decodes to a value that re-encodes to the bytes
+    /// consumed.
+    #[test]
+    fn nn_decoders_survive_truncation_and_flips(
+        cut in 0usize..100_000,
+        flip_pos in 0usize..100_000,
+        flip in 1u8..=255,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let (state, trace) = nn_encodings();
+        let mut net = nn::models::tiny_cnn("prop-state", 1, 8, 3, &mut StdRng::seed_from_u64(99));
+        prop_assert!(nn::serialize::load_state(&mut net, &state[..cut % state.len()]).is_err());
+        let mut r = charstore::wire::Reader::new(&trace[..cut % trace.len()]);
+        prop_assert!(nn::serialize::read_captures(&mut r).is_err());
+        for encoding in [state, trace] {
+            assert_nn_decoders_hold(&encoding[..cut % encoding.len()]);
+            let mut flipped = encoding.clone();
+            flipped[flip_pos % encoding.len()] ^= flip;
+            assert_nn_decoders_hold(&flipped);
+            let mut extended = encoding.clone();
+            extended.push(flip);
+            assert_nn_decoders_hold(&extended);
+        }
     }
 }

@@ -130,7 +130,11 @@ fn end_to_end_energy_accounting_rewards_cheap_codes() {
     use powerpruning::select::power::{select_by_power, threshold_for_count};
     use systolic::HwVariant;
 
-    let pipeline = Pipeline::new(PipelineConfig::for_scale(Scale::Micro));
+    // No artifact store: the test checks energies, not caching, and must
+    // leave no store behind.
+    let mut cfg = PipelineConfig::for_scale(Scale::Micro);
+    cfg.cache = false;
+    let pipeline = Pipeline::new(cfg);
     let mut prepared = pipeline.prepare(NetworkKind::LeNet5);
     let captures = pipeline.capture(&mut prepared);
     let chars = pipeline.characterize(&captures);
