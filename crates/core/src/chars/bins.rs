@@ -11,6 +11,13 @@
 //! each bin, then remaining values are iteratively assigned to the bin
 //! with the smallest **average Hamming distance** to its current
 //! members (tracked incrementally with per-bit population counters).
+//!
+//! The assignment records each observed value's home bin as it goes,
+//! and the bin-transition counts are taken through that index: one
+//! binary search over the distinct values per sample value. The public
+//! lookup [`PsumBinning::bin_of`] scans the bins instead, and falls back
+//! to the nearest bit pattern for a value that was never observed; for
+//! every observed value both give the same bin.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -47,16 +54,30 @@ impl PsumBinning {
         assert!(num_bins > 0, "need at least one bin");
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // Distinct observed values.
+        // Distinct observed values. Dedup keeps the capacity of every
+        // sample value; release it before the index arrays below are
+        // allocated alongside.
         let mut values: Vec<i32> = samples.iter().flat_map(|&(a, b)| [a, b]).collect();
         values.sort_unstable();
         values.dedup();
+        values.shrink_to_fit();
         let num_bins = num_bins.min(values.len());
 
-        // Seed each bin with a random distinct value.
-        let mut shuffled = values.clone();
-        shuffled.shuffle(&mut rng);
-        let mut bins: Vec<Vec<i32>> = shuffled[..num_bins].iter().map(|&v| vec![v]).collect();
+        // Seed each bin with a random distinct value. The shuffle permutes
+        // indices into `values` (it draws the same permutation for any
+        // slice of that length), so each value's home bin is recorded by
+        // index as it is assigned.
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.shuffle(&mut rng);
+        let mut home = vec![0usize; values.len()];
+        let mut bins: Vec<Vec<i32>> = order[..num_bins]
+            .iter()
+            .enumerate()
+            .map(|(b, &i)| {
+                home[i] = b;
+                vec![values[i]]
+            })
+            .collect();
 
         // Per-bin, per-bit population counters for O(bits) average
         // Hamming distance queries.
@@ -73,7 +94,8 @@ impl PsumBinning {
             .collect();
         let mut sizes: Vec<u64> = vec![1; num_bins];
 
-        for &v in &shuffled[num_bins..] {
+        for &i in &order[num_bins..] {
+            let v = values[i];
             let p = to_pattern(v, bits);
             let mut best = 0usize;
             let mut best_cost = f64::INFINITY;
@@ -95,6 +117,7 @@ impl PsumBinning {
                 }
             }
             bins[best].push(v);
+            home[i] = best;
             sizes[best] += 1;
             for (bit, slot) in ones[best].iter_mut().enumerate() {
                 *slot += u64::from((p >> bit) & 1);
@@ -104,19 +127,19 @@ impl PsumBinning {
             b.sort_unstable();
         }
 
-        let mut binning = PsumBinning {
+        // Every sample value was observed, so its bin is its home bin,
+        // the one `bin_of` finds by membership.
+        let home_of = |v: i32| home[values.binary_search(&v).expect("observed value")];
+        let mut counts = vec![0; num_bins * num_bins];
+        for &(from, to) in samples {
+            counts[home_of(from) * num_bins + home_of(to)] += 1;
+        }
+        PsumBinning {
             bits,
             bins,
-            counts: vec![0; num_bins * num_bins],
-            total: 0,
-        };
-        for &(from, to) in samples {
-            let bf = binning.bin_of(from);
-            let bt = binning.bin_of(to);
-            binning.counts[bf * num_bins + bt] += 1;
-            binning.total += 1;
+            counts,
+            total: samples.len() as u64,
         }
-        binning
     }
 
     /// Number of bins.
@@ -229,18 +252,27 @@ impl PsumBinning {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on truncation, an implausible bin/count length, or
-    /// a count matrix that is not `bins × bins`.
+    /// `InvalidData` on truncation, an implausible bin/count length, a
+    /// bit width of 32 or more, an empty bin, a count matrix that is not
+    /// `bins × bins`, or a total that is zero or not the sum of the
+    /// counts. Each of these would make [`PsumBinning::bin_of`] or
+    /// [`PsumBinning::sample_transitions`] panic; [`from_samples`]
+    /// never builds one.
+    ///
+    /// [`from_samples`]: PsumBinning::from_samples
     pub fn read_from(r: &mut charstore::wire::Reader<'_>) -> std::io::Result<Self> {
         use charstore::wire;
         let bits = r.u64()? as usize;
-        if bits > 32 {
+        if bits >= 32 {
             return Err(wire::invalid(format!("implausible bit width {bits}")));
         }
         let num_bins = r.bounded_len(8)?;
         let mut bins = Vec::with_capacity(num_bins);
         for _ in 0..num_bins {
             let len = r.bounded_len(4)?;
+            if len == 0 {
+                return Err(wire::invalid("empty bin"));
+            }
             let mut bin = Vec::with_capacity(len);
             for _ in 0..len {
                 bin.push(r.i32()?);
@@ -257,11 +289,20 @@ impl PsumBinning {
         for _ in 0..counts_len {
             counts.push(r.u64()?);
         }
+        // Every recorded sample bumps one count and the total together,
+        // and `from_samples` records at least one.
+        let total = r.u64()?;
+        let sum = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if total == 0 || sum != Some(total) {
+            return Err(wire::invalid(format!(
+                "bin transition total {total} is not a positive sum of the counts"
+            )));
+        }
         Ok(PsumBinning {
             bits,
             bins,
             counts,
-            total: r.u64()?,
+            total,
         })
     }
 
@@ -362,6 +403,32 @@ mod tests {
         let b1 = binning.bin_of(samples[0].0);
         let b2 = binning.bin_of(samples[0].1);
         assert_ne!(b1, b2, "clusters should separate");
+    }
+
+    #[test]
+    fn indexed_transition_counts_match_bin_of() {
+        // The counts come from the home bins recorded during assignment;
+        // `bin_of` finds the same bins by membership. Values repeat, and
+        // values 2^bits apart share a bit pattern but not a bin entry.
+        let bits = 10;
+        let mut x: u64 = 7;
+        let mut value = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = x >> 33;
+            (r % 200) as i32 - 100 + ((r >> 8) % 3) as i32 * (1 << bits)
+        };
+        let samples: Vec<(i32, i32)> = (0..3000).map(|_| (value(), value())).collect();
+        for num_bins in [1, 7, 50] {
+            let binning = PsumBinning::from_samples(&samples, num_bins, bits, 11);
+            let nb = binning.num_bins();
+            let mut expected = vec![0u64; nb * nb];
+            for &(from, to) in &samples {
+                expected[binning.bin_of(from) * nb + binning.bin_of(to)] += 1;
+            }
+            assert_eq!(binning.transition_counts(), expected, "{num_bins} bins");
+        }
     }
 
     #[test]

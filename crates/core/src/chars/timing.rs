@@ -12,6 +12,18 @@
 //! The MAC delay of a `(weight, activation transition)` pair is then
 //! `max_j (dta_arrival[j] + sta_from_product[j])` — Fig. 5 — with the
 //! partial-sum STA path as a weight-independent floor.
+//!
+//! [`characterize_timing`] simulates each code's pairs in the order the
+//! batched engine prefers and folds them in pair order. It walks the
+//! pairs as chains, each pair starting at the activation the previous
+//! one ended on: a transition leaves the engine settled at its `to`, so
+//! only a chain break settles. On random sampled pairs the chains break
+//! about as rarely as they can: once per unit of surplus of pairs out
+//! over pairs in, summed over the activation levels (about 1,000 breaks
+//! per 12,240 pairs at Mini). Each pair's composed delay lands in a
+//! per-pair buffer, and the histogram, the maximum and the `slow` list
+//! are folded from it in pair order, so the profile is bit-identical to
+//! the pair-order scalar oracle [`characterize_timing_scalar`].
 
 use crate::chars::power::{nearest_code_index, strided_codes};
 use crate::chars::{CharConfigError, MacHardware};
@@ -245,19 +257,11 @@ fn code_rng(cfg: &TimingConfig, code_idx: usize) -> StdRng {
     StdRng::seed_from_u64(cfg.seed ^ ((code_idx as u64) << 10))
 }
 
-/// Folds one measured transition into a weight's profile. `arrival` maps
-/// a product-bit slot to its last-toggle arrival in ps.
-#[allow(clippy::too_many_arguments)]
-fn fold_transition(
-    cfg: &TimingConfig,
-    adder_table: &[f64],
-    arrival: impl Fn(usize) -> f64,
-    from: u32,
-    to: u32,
-    hist: &mut [u64],
-    max_delay: &mut f64,
-    slow: &mut Vec<(u8, u8, f32)>,
-) {
+/// The composed delay of one measured transition (Fig. 5 without the
+/// psum floor): the largest `arrival + adder` over the product bits that
+/// toggled. `arrival` maps a product-bit slot to its last-toggle arrival
+/// in ps.
+fn composed_delay(adder_table: &[f64], arrival: impl Fn(usize) -> f64) -> f64 {
     let mut composed = 0.0f64;
     for (j, &adder_d) in adder_table.iter().enumerate() {
         let arr = arrival(j);
@@ -265,13 +269,32 @@ fn fold_transition(
             composed = composed.max(arr + adder_d);
         }
     }
-    let bucket = (composed.round() as usize).min(hist.len() - 1);
-    hist[bucket] += 1;
-    if composed > *max_delay {
-        *max_delay = composed;
+    composed
+}
+
+impl WeightTiming {
+    /// An empty profile of `code`: 512 1-ps histogram buckets, nothing
+    /// folded yet.
+    fn empty(code: i32) -> Self {
+        WeightTiming {
+            code,
+            max_delay_ps: 0.0,
+            histogram: vec![0; 512],
+            slow: Vec::new(),
+        }
     }
-    if composed > cfg.slow_floor_ps && composed > 0.0 {
-        slow.push((from as u8, to as u8, composed as f32));
+
+    /// Folds the composed delay of the transition `from → to` into the
+    /// histogram, the maximum and, above `slow_floor_ps`, the slow list.
+    fn fold(&mut self, slow_floor_ps: f64, from: u32, to: u32, composed: f64) {
+        let bucket = (composed.round() as usize).min(self.histogram.len() - 1);
+        self.histogram[bucket] += 1;
+        if composed > self.max_delay_ps {
+            self.max_delay_ps = composed;
+        }
+        if composed > slow_floor_ps && composed > 0.0 {
+            self.slow.push((from as u8, to as u8, composed as f32));
+        }
     }
 }
 
@@ -302,6 +325,56 @@ fn for_each_transition_pair(
                 f(from, to);
             }
         }
+    }
+}
+
+/// Visits every index of `pairs` once, walking the pairs as chains: the
+/// next pair starts at the activation the previous one ended on while
+/// such a pair is left. `visit(i, chained)` gets `chained` true when
+/// `pairs[i]` starts where the previously visited pair ended. A chain
+/// break resumes at the lowest level with more pairs left out than in,
+/// or else at the lowest level with any pair left out.
+fn walk_chains(pairs: &[(u32, u32)], levels: u32, mut visit: impl FnMut(usize, bool)) {
+    // Per-`from` stacks, bucket-sorted into one array: level `l` has
+    // `order[next[l]..start[l + 1]]` left.
+    let levels = levels as usize;
+    let mut start = vec![0usize; levels + 1];
+    for &(from, _) in pairs {
+        start[from as usize + 1] += 1;
+    }
+    for l in 0..levels {
+        start[l + 1] += start[l];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0usize; pairs.len()];
+    for (i, &(from, _)) in pairs.iter().enumerate() {
+        order[next[from as usize]] = i;
+        next[from as usize] += 1;
+    }
+    next.copy_from_slice(&start);
+    // Pairs left that end at each level: a chain can only break at a
+    // level whose pairs out are used up, so a restart prefers a level
+    // with more pairs out than in.
+    let mut inbound = vec![0usize; levels];
+    for &(_, to) in pairs {
+        inbound[to as usize] += 1;
+    }
+    let mut at = None;
+    for _ in 0..pairs.len() {
+        let left = |l: usize| start[l + 1] - next[l];
+        let (level, chained) = match at {
+            Some(l) if left(l) > 0 => (l, true),
+            _ => {
+                let surplus = (0..levels).find(|&l| left(l) > inbound[l]);
+                let any = || (0..levels).find(|&l| left(l) > 0);
+                (surplus.or_else(any).expect("a pair is left"), false)
+            }
+        };
+        let i = order[next[level]];
+        next[level] += 1;
+        inbound[pairs[i].1 as usize] -= 1;
+        visit(i, chained);
+        at = Some(pairs[i].1 as usize);
     }
 }
 
@@ -344,15 +417,7 @@ pub fn characterize_timing_with_threads(
     let all_codes = hw.weight_codes();
     let codes = strided_codes(&all_codes, cfg.weight_stride);
     let levels = hw.act_levels() as u32;
-    let mut per_weight: Vec<WeightTiming> = codes
-        .iter()
-        .map(|&code| WeightTiming {
-            code,
-            max_delay_ps: 0.0,
-            histogram: Vec::new(),
-            slow: Vec::new(),
-        })
-        .collect();
+    let mut per_weight: Vec<_> = codes.iter().copied().map(WeightTiming::empty).collect();
     let product_nets = hw.mult_netlist().outputs().to_vec();
     let adder_table = &adder_from_product_ps;
 
@@ -360,8 +425,8 @@ pub fn characterize_timing_with_threads(
         threads.unwrap_or_else(parallel::max_threads),
         &mut per_weight,
         1,
-        || (Vec::new(), Vec::new()),
-        |(from_buf, to_buf), idx, slot| {
+        || (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+        |(pairs, delays, from_buf, to_buf), idx, slot| {
             let code = slot[0].code;
             // Per-code engine with the weight bus pinned: the prune
             // plan proves the weight's dead multiplier cone silent, so
@@ -371,28 +436,28 @@ pub fn characterize_timing_with_threads(
             let plan = PrunePlan::new(hw.mult_netlist(), hw.lib(), &hw.mult_weight_pins(code));
             let mut sim = BatchSim::with_plan(hw.mult_netlist(), hw.lib(), &plan);
             sim.observe(&product_nets);
-            let mut hist = vec![0u64; 512];
-            let mut max_delay = 0.0f64;
-            let mut slow = Vec::new();
-            for_each_transition_pair(cfg, levels, idx, |from, to| {
-                hw.encode_mult_into(code as i64, from as u64, from_buf);
+            pairs.clear();
+            for_each_transition_pair(cfg, levels, idx, |from, to| pairs.push((from, to)));
+            delays.clear();
+            delays.resize(pairs.len(), 0.0);
+            // A transition leaves the engine settled at its `to`, the
+            // state `settle` would build for a pair starting there, so
+            // only a chain break settles.
+            walk_chains(pairs, levels, |i, chained| {
+                let (from, to) = pairs[i];
+                if !chained {
+                    hw.encode_mult_into(code as i64, from as u64, from_buf);
+                    sim.settle(from_buf);
+                }
                 hw.encode_mult_into(code as i64, to as u64, to_buf);
-                sim.settle(from_buf);
                 let view = sim.transition(to_buf);
-                fold_transition(
-                    cfg,
-                    adder_table,
-                    |j| view.observed_arrival_ps(j),
-                    from,
-                    to,
-                    &mut hist,
-                    &mut max_delay,
-                    &mut slow,
-                );
+                delays[i] = composed_delay(adder_table, |j| view.observed_arrival_ps(j));
             });
-            slot[0].histogram = hist;
-            slot[0].max_delay_ps = max_delay;
-            slot[0].slow = slow;
+            // Fold in pair order, as the scalar oracle does, so the slow
+            // list keeps its order.
+            for (&(from, to), &delay) in pairs.iter().zip(delays.iter()) {
+                slot[0].fold(cfg.slow_floor_ps, from, to, delay);
+            }
         },
     );
 
@@ -424,15 +489,7 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
     let all_codes = hw.weight_codes();
     let codes = strided_codes(&all_codes, cfg.weight_stride);
     let levels = hw.act_levels() as u32;
-    let mut per_weight: Vec<WeightTiming> = codes
-        .iter()
-        .map(|&code| WeightTiming {
-            code,
-            max_delay_ps: 0.0,
-            histogram: Vec::new(),
-            slow: Vec::new(),
-        })
-        .collect();
+    let mut per_weight: Vec<_> = codes.iter().copied().map(WeightTiming::empty).collect();
     let product_nets = hw.mult_netlist().outputs().to_vec();
     let adder_table = &adder_from_product_ps;
 
@@ -446,26 +503,12 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
         },
         |sim, idx, slot| {
             let code = slot[0].code;
-            let mut hist = vec![0u64; 512];
-            let mut max_delay = 0.0f64;
-            let mut slow = Vec::new();
             for_each_transition_pair(cfg, levels, idx, |from, to| {
                 sim.settle(&hw.encode_mult(code as i64, from as u64));
                 let stats = sim.transition(&hw.encode_mult(code as i64, to as u64));
-                fold_transition(
-                    cfg,
-                    adder_table,
-                    |j| stats.observed_arrival_ps(j),
-                    from,
-                    to,
-                    &mut hist,
-                    &mut max_delay,
-                    &mut slow,
-                );
+                let delay = composed_delay(adder_table, |j| stats.observed_arrival_ps(j));
+                slot[0].fold(cfg.slow_floor_ps, from, to, delay);
             });
-            slot[0].histogram = hist;
-            slot[0].max_delay_ps = max_delay;
-            slot[0].slow = slow;
         },
     );
 
@@ -626,6 +669,75 @@ mod tests {
             let batched = characterize_timing(&hw, &cfg);
             let scalar = characterize_timing_scalar(&hw, &cfg);
             assert_eq!(batched, scalar);
+        }
+    }
+
+    #[test]
+    fn chained_paper_profile_matches_scalar_reference() {
+        // Mini-style sampling on the paper MAC: a few hundred pairs per
+        // code over 256 levels, so chains break and pairs repeat. The
+        // finite floor fills the slow lists, whose order is the only
+        // output a fold in walk order instead of pair order would move.
+        let hw = MacHardware::paper_default();
+        let cfg = TimingConfig {
+            exhaustive: false,
+            samples: 384,
+            seed: 0x7171,
+            slow_floor_ps: 120.0,
+            weight_stride: 32,
+        };
+        let repeats = (0..strided_codes(&hw.weight_codes(), cfg.weight_stride).len())
+            .map(|idx| {
+                let mut pairs = Vec::new();
+                for_each_transition_pair(&cfg, 256, idx, |from, to| pairs.push((from, to)));
+                let drawn = pairs.len();
+                pairs.sort_unstable();
+                pairs.dedup();
+                drawn - pairs.len()
+            })
+            .sum::<usize>();
+        assert!(repeats > 0, "no sampled pair repeats");
+        let chained = characterize_timing(&hw, &cfg);
+        let slow: usize = chained.per_weight.iter().map(|t| t.slow.len()).sum();
+        assert!(slow > 100, "only {slow} slow entries");
+        assert_eq!(chained, characterize_timing_scalar(&hw, &cfg));
+    }
+
+    #[test]
+    fn chain_walk_visits_every_pair_once() {
+        // Exhaustive (16 levels) and sampled (256 levels, with repeats
+        // and breaks). A pair counts as chained exactly when it starts
+        // where the previous one ended: the engine then skips `settle`.
+        for (cfg, levels) in [
+            (quick_cfg(), 16),
+            (
+                TimingConfig {
+                    exhaustive: false,
+                    samples: 3000,
+                    ..quick_cfg()
+                },
+                256,
+            ),
+        ] {
+            let mut pairs = Vec::new();
+            for_each_transition_pair(&cfg, levels, 3, |from, to| pairs.push((from, to)));
+            let mut visits = vec![0u32; pairs.len()];
+            let (mut prev_to, mut breaks) = (None, 0);
+            walk_chains(&pairs, levels, |i, chained| {
+                visits[i] += 1;
+                assert_eq!(chained, prev_to == Some(pairs[i].0), "pair {i}");
+                breaks += usize::from(!chained);
+                prev_to = Some(pairs[i].1);
+            });
+            assert!(
+                visits.iter().all(|&v| v == 1),
+                "a pair was skipped or repeated"
+            );
+            assert!(
+                breaks < pairs.len() / 4,
+                "{breaks} breaks in {} pairs",
+                pairs.len()
+            );
         }
     }
 

@@ -56,6 +56,11 @@ stage_seconds!(CHARACTERIZE_SECONDS, "pipeline_characterize_seconds");
 stage_seconds!(TIMING_SECONDS, "pipeline_timing_seconds");
 stage_seconds!(REQUEST_SECONDS, "pipeline_request_seconds");
 
+/// The paper's MAC, built once per process: every pipeline characterizes
+/// the same netlists, and building them costs more than the rest of a
+/// pipeline's set-up.
+static PAPER_HW: LazyLock<MacHardware> = LazyLock::new(MacHardware::paper_default);
+
 /// A trained network with its datasets.
 #[derive(Debug)]
 pub struct Prepared {
@@ -87,7 +92,7 @@ pub struct Characterization {
 pub struct Pipeline {
     /// Configuration.
     pub cfg: PipelineConfig,
-    hw: MacHardware,
+    hw: &'static MacHardware,
     array: SystolicArray,
     voltage: VoltageModel,
     cache: Option<std::sync::Arc<crate::cache::CharCache>>,
@@ -162,7 +167,7 @@ impl Pipeline {
         cache: Option<std::sync::Arc<crate::cache::CharCache>>,
     ) -> Self {
         Pipeline {
-            hw: MacHardware::paper_default(),
+            hw: &PAPER_HW,
             array: SystolicArray::new(cfg.array_config()),
             voltage: VoltageModel::finfet15(),
             cache,
@@ -173,7 +178,7 @@ impl Pipeline {
     /// The characterized MAC hardware.
     #[must_use]
     pub fn hardware(&self) -> &MacHardware {
-        &self.hw
+        self.hw
     }
 
     /// The systolic array simulator.
@@ -193,7 +198,7 @@ impl Pipeline {
     pub fn ctx(&self) -> PipelineCtx<'_> {
         PipelineCtx {
             cfg: &self.cfg,
-            hw: &self.hw,
+            hw: self.hw,
             array: &self.array,
             voltage: &self.voltage,
             cache: self.cache.as_deref(),

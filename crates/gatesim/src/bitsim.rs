@@ -255,8 +255,9 @@ impl BitTransitionView<'_> {
     }
 
     /// Sum of switching energies over the active lanes, folded in lane
-    /// order — the fold `characterize_power` chains across blocks to
-    /// reproduce the scalar per-sample sum exactly.
+    /// order. It equals a scalar per-sample sum only over samples packed
+    /// in their own order; `characterize_power` packs sorted lanes and
+    /// sums [`BitTransitionView::lane_energy_fj`] in sample order instead.
     #[must_use]
     pub fn total_energy_fj(&self) -> f64 {
         let mut total = 0.0;

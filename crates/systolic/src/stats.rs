@@ -176,8 +176,10 @@ impl TransitionStats {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on truncated input or out-of-range histogram
-    /// indices (bounds are validated before any allocation).
+    /// `InvalidData` on truncated input, out-of-range histogram indices
+    /// (bounds are validated before any allocation), or an activation
+    /// total that is not the sum of the histogram, on which
+    /// [`TransitionStats::sample_activation_transitions`] would panic.
     pub fn read_from(r: &mut charstore::wire::Reader<'_>) -> std::io::Result<Self> {
         use charstore::wire;
         let mut stats = TransitionStats::new();
@@ -190,6 +192,18 @@ impl TransitionStats {
                 return Err(wire::invalid(format!("histogram index {idx} out of range")));
             }
             stats.act_hist[idx] = count;
+        }
+        // Every recorded transition bumps one bucket and the total
+        // together.
+        let sum = stats
+            .act_hist
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if sum != Some(stats.act_total) {
+            return Err(wire::invalid(format!(
+                "activation total {} is not the sum of the histogram",
+                stats.act_total
+            )));
         }
         let samples = r.bounded_len(8)?;
         if samples > PSUM_RESERVOIR {

@@ -377,3 +377,177 @@ proptest! {
         }
     }
 }
+
+/// Valid encodings of a Mini-shaped partial-sum binning (50 bins over
+/// 22-bit values) and of activation statistics spread over all 256
+/// levels: the seeds the truncation and byte-flip property below
+/// mutates.
+fn psum_encodings() -> &'static (Vec<u8>, Vec<u8>) {
+    static ENCODINGS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        use powerpruning::chars::PsumBinning;
+        use systolic::TransitionStats;
+        let mut x: u64 = 5;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 16
+        };
+        let mut stats = TransitionStats::new();
+        let mut psums = Vec::new();
+        for _ in 0..1000 {
+            let r = next();
+            stats.record_activation(r as u8, (r >> 8) as u8, (r >> 16) % 4 + 1);
+            let psum = |v: u64| (v & 0x3f_ffff) as i32 - (1 << 21);
+            psums.push((psum(r >> 20), psum(next())));
+        }
+        for &(from, to) in &psums[..200] {
+            stats.record_psum(i64::from(from), i64::from(to), 22);
+        }
+        let binning = PsumBinning::from_samples(&psums, 50, 22, 1);
+        assert_eq!(binning.num_bins(), 50);
+        let (mut b, mut s) = (Vec::new(), Vec::new());
+        binning.write_to(&mut b);
+        stats.write_to(&mut s);
+        (b, s)
+    })
+}
+
+/// Feeds `bytes` to the binning and statistics decoders. Neither may
+/// panic or fail with anything but `InvalidData`. A decoded binning
+/// re-encodes to exactly the bytes it consumed; `bin_of`,
+/// `transition_probability` and `sample_transitions` run on it, and its
+/// probabilities sum to one. Decoded statistics survive a round trip,
+/// and `sample_activation_transitions` runs on them whenever they
+/// record a transition, drawing only transitions they recorded.
+fn assert_psum_decoders_hold(bytes: &[u8]) {
+    use charstore::wire::Reader;
+    use powerpruning::chars::PsumBinning;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use systolic::TransitionStats;
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut r = Reader::new(bytes);
+    match PsumBinning::read_from(&mut r) {
+        Ok(binning) => {
+            let mut again = Vec::new();
+            binning.write_to(&mut again);
+            assert_eq!(again, &bytes[..bytes.len() - r.remaining()]);
+            let nb = binning.num_bins();
+            for probe in [0, -1, 1 << 21, i32::MIN, i32::MAX] {
+                assert!(binning.bin_of(probe) < nb);
+            }
+            for bin in 0..nb {
+                assert!(binning.bin_of(binning.members(bin)[0]) < nb);
+            }
+            let mut probability = 0.0;
+            for from in 0..nb {
+                for to in 0..nb {
+                    probability += binning.transition_probability(from, to);
+                }
+            }
+            assert!(
+                (probability - 1.0).abs() < 1e-9,
+                "probabilities sum to {probability}"
+            );
+            assert_eq!(binning.sample_transitions(16, &mut rng).len(), 16);
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
+    match TransitionStats::read_from(&mut Reader::new(bytes)) {
+        Ok(stats) => {
+            let mut again = Vec::new();
+            stats.write_to(&mut again);
+            let back = TransitionStats::read_from(&mut Reader::new(&again)).expect("re-decode");
+            assert_eq!(back, stats);
+            if stats.total_activation_transitions() > 0 {
+                for (from, to) in stats.sample_activation_transitions(16, &mut rng) {
+                    assert!(stats.activation_probability(from, to) > 0.0);
+                }
+            }
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, and arbitrary field values laid out as each
+    /// encoding lays them out: bit widths past 31, empty bins, totals
+    /// that are not the sum of their counts and histogram indices out
+    /// of range must all fail cleanly.
+    #[test]
+    fn psum_decoders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..400),
+        bits in 24u64..40,
+        bins in prop::collection::vec(prop::collection::vec(-600i32..600, 0..4), 0..4),
+        counts in prop::collection::vec(0u64..3, 9..10),
+        total_offset in 0u64..3,
+        act_offset in 0u64..3,
+        hist_idx in prop::collection::vec(0u32..70_000, 0..4),
+        hist_counts in prop::collection::vec(0u64..3, 4..5),
+    ) {
+        use charstore::wire;
+        assert_psum_decoders_hold(&bytes);
+
+        let counts = &counts[..bins.len() * bins.len()];
+        let mut binning = Vec::new();
+        wire::put_u64(&mut binning, bits);
+        wire::put_usize(&mut binning, bins.len());
+        for bin in &bins {
+            wire::put_usize(&mut binning, bin.len());
+            for &v in bin {
+                wire::put_i32(&mut binning, v);
+            }
+        }
+        wire::put_usize(&mut binning, counts.len());
+        for &c in counts {
+            wire::put_u64(&mut binning, c);
+        }
+        wire::put_u64(&mut binning, counts.iter().sum::<u64>() + total_offset);
+        assert_psum_decoders_hold(&binning);
+
+        let hist: Vec<(u32, u64)> = hist_idx.into_iter().zip(hist_counts).collect();
+        let mut stats = Vec::new();
+        let sum: u64 = hist.iter().map(|&(_, c)| c).sum();
+        wire::put_u64(&mut stats, sum + act_offset);
+        wire::put_usize(&mut stats, hist.len());
+        for &(idx, c) in &hist {
+            wire::put_u32(&mut stats, idx);
+            wire::put_u64(&mut stats, c);
+        }
+        wire::put_usize(&mut stats, 0);
+        for word in [1, 2, 3] {
+            wire::put_u64(&mut stats, word);
+        }
+        assert_psum_decoders_hold(&stats);
+    }
+
+    /// Every strict prefix of a valid binning or statistics encoding
+    /// fails cleanly; a single flipped byte, or one byte appended,
+    /// either fails cleanly or decodes to a value its methods accept.
+    #[test]
+    fn psum_decoders_survive_truncation_and_flips(
+        cut in 0usize..100_000,
+        flip_pos in 0usize..100_000,
+        flip in 1u8..=255,
+    ) {
+        use charstore::wire::Reader;
+        use powerpruning::chars::PsumBinning;
+        use systolic::TransitionStats;
+        let (binning, stats) = psum_encodings();
+        prop_assert!(PsumBinning::read_from(&mut Reader::new(&binning[..cut % binning.len()])).is_err());
+        prop_assert!(TransitionStats::read_from(&mut Reader::new(&stats[..cut % stats.len()])).is_err());
+        for encoding in [binning, stats] {
+            assert_psum_decoders_hold(&encoding[..cut % encoding.len()]);
+            let mut flipped = encoding.clone();
+            flipped[flip_pos % encoding.len()] ^= flip;
+            assert_psum_decoders_hold(&flipped);
+            let mut extended = encoding.clone();
+            extended.push(flip);
+            assert_psum_decoders_hold(&extended);
+        }
+    }
+}
