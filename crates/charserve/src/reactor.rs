@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!            epoll (level-triggered, crates/compat/polling)
-//!   accept ──► Conn{rbuf} ──parse──► Router handler ──► Conn{wbuf} ──► write
+//!   accept ──► Conn{rbuf} ──parse──► Router handler ──► Conn{wqueue} ──► write
 //!                 │                     │ Reply::Later                ▲
 //!                 │                     ▼                             │
 //!                 │               FlightBoard ──► WorkerPool ──► completion
@@ -20,10 +20,13 @@
 //! Requests are parsed **from buffers** ([`httpwire`]'s sans-IO
 //! parser), so keep-alive and pipelining fall out for free: whatever
 //! bytes are buffered past one request are simply the next request.
-//! Responses append to the connection's write buffer in arrival order —
-//! a connection suspended on a pending computation ([`Reply::Later`])
+//! Responses join the connection's write queue in arrival order — a
+//! connection suspended on a pending computation ([`Reply::Later`])
 //! stops consuming its buffer until the completion lands, which is
-//! exactly what keeps pipelined responses ordered.
+//! exactly what keeps pipelined responses ordered. A response queues as
+//! two buffers, its encoded head and its body as the handler built it,
+//! and `write_vectored` sends them together: a large body (a stored
+//! object) is never copied behind its head.
 //!
 //! CPU-bound work never runs here. A handler that needs the worker
 //! pool returns [`Reply::Later`] after wiring its completion callback
@@ -43,8 +46,8 @@
 use crate::router::{error_body, Deferred, Reply, Request};
 use httpwire::{Parsed, RequestHead, Response};
 use polling::{Interest, Poller, Waker};
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
@@ -60,6 +63,9 @@ const FIRST_CONN: u64 = 2;
 
 /// Socket read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Queued buffers handed to one `write_vectored` call.
+const MAX_IOV: usize = 16;
 
 /// Cap on buffered not-yet-parsed pipeline bytes while a connection is
 /// suspended on a pending computation. Past it the reactor stops
@@ -151,7 +157,9 @@ struct Conn {
     token: u64,
     peer: String,
     rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
+    /// Unwritten response buffers, oldest first; none is empty.
+    wqueue: VecDeque<Vec<u8>>,
+    /// Bytes of the front buffer already written.
     wpos: usize,
     state: State,
     deadline: Option<(Clock, Instant)>,
@@ -163,17 +171,33 @@ struct Conn {
 }
 
 impl Conn {
-    fn enqueue(&mut self, bytes: Vec<u8>) {
-        if self.wbuf.is_empty() {
-            self.wbuf = bytes;
+    /// Queues a response behind everything still unwritten: its head,
+    /// then its body, moved and not copied.
+    fn respond(&mut self, response: Response, keep_alive: bool, trace: Option<&str>) {
+        self.wqueue
+            .push_back(response.encode_head(keep_alive, trace));
+        if !response.body.is_empty() {
+            self.wqueue.push_back(response.body);
+        }
+    }
+
+    /// Drops `n` written bytes from the front of the queue: every
+    /// buffer they finish leaves, and the rest count into the next.
+    fn advance(&mut self, mut n: usize) {
+        while let Some(front) = self.wqueue.front() {
+            let left = front.len() - self.wpos;
+            if n < left {
+                self.wpos += n;
+                return;
+            }
+            n -= left;
             self.wpos = 0;
-        } else {
-            self.wbuf.extend_from_slice(&bytes);
+            self.wqueue.pop_front();
         }
     }
 
     fn flushed(&self) -> bool {
-        self.wpos >= self.wbuf.len()
+        self.wqueue.is_empty()
     }
 }
 
@@ -309,7 +333,7 @@ impl<S: Service> Reactor<S> {
                 token,
                 peer: peer.to_string(),
                 rbuf: Vec::new(),
-                wbuf: Vec::new(),
+                wqueue: VecDeque::new(),
                 wpos: 0,
                 state: State::Ready,
                 deadline: None, // finish() arms the idle clock
@@ -324,12 +348,13 @@ impl<S: Service> Reactor<S> {
                 conn.deadline = Some((Clock::Header, Instant::now() + self.config.header_timeout));
                 conn.close_after_flush = true;
                 conn.interest = Interest::WRITABLE;
-                conn.enqueue(
+                conn.respond(
                     Response::too_many_requests(
                         RETRY_AFTER_SECS,
                         error_body("server is at its connection limit"),
-                    )
-                    .encode(false, None),
+                    ),
+                    false,
+                    None,
                 );
             }
             if self
@@ -411,9 +436,7 @@ impl<S: Service> Reactor<S> {
             }
             let (head, consumed) = match httpwire::parse_request_head(&conn.rbuf) {
                 Err(e) => {
-                    conn.enqueue(
-                        Response::json(400, error_body(&e.to_string())).encode(false, None),
-                    );
+                    conn.respond(Response::json(400, error_body(&e.to_string())), false, None);
                     conn.close_after_flush = true;
                     conn.rbuf.clear();
                     return;
@@ -435,7 +458,7 @@ impl<S: Service> Reactor<S> {
                     "declared body of {} bytes exceeds the {limit}-byte limit",
                     head.content_length
                 );
-                conn.enqueue(Response::json(413, error_body(&msg)).encode(false, None));
+                conn.respond(Response::json(413, error_body(&msg)), false, None);
                 conn.close_after_flush = true;
                 conn.rbuf.clear();
                 return;
@@ -479,7 +502,7 @@ impl<S: Service> Reactor<S> {
         });
         match reply {
             Reply::Now(response) => {
-                conn.enqueue(response.encode(head.keep_alive, Some(&trace.to_string())));
+                conn.respond(response, head.keep_alive, Some(&trace.to_string()));
                 self.service.on_request_done(started.elapsed());
                 if !head.keep_alive {
                     conn.close_after_flush = true;
@@ -529,7 +552,7 @@ impl<S: Service> Reactor<S> {
             } = conn.state
             {
                 conn.state = State::Ready;
-                conn.enqueue(response.encode(keep_alive, Some(&trace.to_string())));
+                conn.respond(response, keep_alive, Some(&trace.to_string()));
                 self.service.on_request_done(started.elapsed());
                 if keep_alive {
                     // Back to parsing: pipelined successors may already
@@ -585,20 +608,24 @@ impl<S: Service> Reactor<S> {
         true
     }
 
-    /// Writes as much of `wbuf` as the socket accepts right now.
+    /// Writes as much of the queue as the socket accepts right now,
+    /// up to `MAX_IOV` buffers per call, resuming mid-buffer after a
+    /// partial write.
     fn write_out(&self, conn: &mut Conn) -> bool {
         while !conn.flushed() {
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+            let mut iov = [IoSlice::new(&[]); MAX_IOV];
+            for (slot, buf) in iov.iter_mut().zip(&conn.wqueue) {
+                *slot = IoSlice::new(buf);
+            }
+            iov[0] = IoSlice::new(&conn.wqueue[0][conn.wpos..]);
+            let count = conn.wqueue.len().min(MAX_IOV);
+            match conn.stream.write_vectored(&iov[..count]) {
                 Ok(0) => return false,
-                Ok(n) => conn.wpos += n,
+                Ok(n) => conn.advance(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return false,
             }
-        }
-        if conn.flushed() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
         }
         true
     }
@@ -626,9 +653,10 @@ impl<S: Service> Reactor<S> {
                     conn.peer,
                     conn.rbuf.len()
                 );
-                conn.enqueue(
-                    Response::json(408, error_body("timed out waiting for the full request"))
-                        .encode(false, None),
+                conn.respond(
+                    Response::json(408, error_body("timed out waiting for the full request")),
+                    false,
+                    None,
                 );
                 conn.rbuf.clear();
             }
@@ -690,9 +718,10 @@ mod tests {
     use httpwire::{ClientConfig, HttpConnection, RequestSpec};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    /// A toy service: `GET /echo` answers inline, `POST /slow` answers
-    /// from a background thread after a delay (standing in for the
-    /// worker pool), `POST /stop` requests shutdown.
+    /// A toy service: `GET /echo` and `GET /big` answer inline,
+    /// `POST /slow` answers from a background thread after a delay
+    /// (standing in for the worker pool), `POST /stop` requests
+    /// shutdown.
     struct Toy {
         stop: AtomicBool,
         rejected: AtomicU64,
@@ -716,6 +745,9 @@ mod tests {
         fn handle(&self, request: &Request, deferred: &Deferred) -> Reply {
             match (request.method.as_str(), request.path.as_str()) {
                 ("GET", "/echo") => Reply::Now(Response::json(200, "echo")),
+                ("GET", "/big") => {
+                    Reply::Now(Response::bytes(200, "application/octet-stream", big_body()))
+                }
                 ("POST", "/slow") => {
                     let deferred = deferred.clone();
                     let delay = String::from_utf8_lossy(&request.body)
@@ -744,6 +776,18 @@ mod tests {
         fn on_request_done(&self, _elapsed: Duration) {
             self.done.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Length of the `/big` body: more than the socket buffers of a
+    /// client that is not reading can hold.
+    const BIG_BODY: usize = 8 << 20;
+
+    /// The `/big` body: consecutive little-endian `u32`s, so a write
+    /// resumed at a wrong offset shows as a mismatch.
+    fn big_body() -> Vec<u8> {
+        (0..(BIG_BODY / 4) as u32)
+            .flat_map(u32::to_le_bytes)
+            .collect()
     }
 
     fn boot(config: ReactorConfig) -> (String, Arc<Toy>, std::thread::JoinHandle<()>) {
@@ -806,6 +850,49 @@ mod tests {
             "pipelined responses out of order"
         );
         assert_eq!(toy.done.load(Ordering::Relaxed), 3);
+        stop(&addr, handle);
+    }
+
+    /// A multi-MiB response to a client that reads slowly, then a
+    /// pipelined reply. The socket takes the first response in partial
+    /// writes, the first of which ends inside its body, so the writer
+    /// resumes mid-buffer and across the head/body and response
+    /// boundaries; both responses arrive byte for byte, in order, as
+    /// the head encoding lays them out.
+    #[test]
+    fn slow_reader_gets_a_large_body_and_the_next_reply_byte_for_byte() {
+        let (addr, _toy, handle) = boot(ReactorConfig::default());
+        let mut s = TcpStream::connect(&addr).unwrap();
+        s.write_all(
+            b"GET /big HTTP/1.1\r\nX-Trace-Id: 00000000000000b1\r\n\r\n\
+              GET /echo HTTP/1.1\r\nX-Trace-Id: 00000000000000b2\r\n\r\n",
+        )
+        .unwrap();
+        let mut want = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+             Content-Length: {BIG_BODY}\r\nX-Trace-Id: 00000000000000b1\r\n\
+             Connection: keep-alive\r\n\r\n"
+        )
+        .into_bytes();
+        want.extend(big_body());
+        want.extend_from_slice(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4\r\n\
+              X-Trace-Id: 00000000000000b2\r\nConnection: keep-alive\r\n\r\necho",
+        );
+        // Not reading at first lets the reactor fill the socket buffers.
+        std::thread::sleep(Duration::from_millis(100));
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut got = Vec::with_capacity(want.len());
+        let mut chunk = vec![0u8; 64 * 1024];
+        while got.len() < want.len() {
+            let n = s.read(&mut chunk).unwrap();
+            assert!(n > 0, "closed after {} of {} bytes", got.len(), want.len());
+            got.extend_from_slice(&chunk[..n]);
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let first_difference = got.iter().zip(&want).position(|(a, b)| a != b);
+        assert_eq!(first_difference, None, "response bytes differ");
+        assert_eq!(got.len(), want.len());
         stop(&addr, handle);
     }
 

@@ -225,6 +225,94 @@ mod tests {
         assert!(err.to_string().contains("magic"), "{err}");
     }
 
+    /// `body` followed by its file checksum: a container whose bytes
+    /// reach the parser, whatever they hold.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        wire::put_u64(&mut out, checksum(body));
+        out
+    }
+
+    /// `decode` on hostile bytes: no panic, only `InvalidData`, and a
+    /// decoded container stays inside the caps its allocations are
+    /// sized by: at most [`MAX_SECTIONS`] sections, holding no more
+    /// payload than the input has.
+    fn assert_decode_holds(data: &[u8]) {
+        match decode(data) {
+            Ok(sections) => {
+                assert!(sections.len() <= MAX_SECTIONS as usize);
+                let payload: usize = sections.iter().map(|s| s.bytes.len()).sum();
+                assert!(payload + 16 + sections.len() * 20 + 8 <= data.len());
+            }
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+        }
+    }
+
+    #[test]
+    fn decode_survives_arbitrary_bytes() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..2000 {
+            let len = (next() % 400) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_decode_holds(&bytes);
+            assert_decode_holds(&sealed(&bytes));
+            // Past the magic and version into the section table, with
+            // counts around the cap and table entries whose lengths
+            // are small enough to sometimes fit.
+            let mut header = MAGIC.to_vec();
+            wire::put_u32(&mut header, FORMAT_VERSION);
+            wire::put_u32(&mut header, (case % 70) as u32);
+            for _ in 0..case % 5 {
+                wire::put_u32(&mut header, next() as u32);
+                wire::put_u64(&mut header, next() % 64);
+                wire::put_u64(&mut header, next());
+            }
+            header.extend_from_slice(&bytes);
+            assert_decode_holds(&sealed(&header));
+        }
+        // Counts far past the cap, or past what the bytes can hold,
+        // fail before the section table is allocated.
+        for count in [MAX_SECTIONS + 1, u32::MAX, MAX_SECTIONS] {
+            let mut header = MAGIC.to_vec();
+            wire::put_u32(&mut header, FORMAT_VERSION);
+            wire::put_u32(&mut header, count);
+            assert!(decode(&sealed(&header)).is_err(), "count {count}");
+        }
+    }
+
+    #[test]
+    fn decode_survives_truncation_and_flips() {
+        let encoded = encode(&[
+            Section::new(1, b"prov".to_vec()),
+            Section::new(2, vec![0u8; 7]),
+            Section::new(7, (0..16u8).collect()),
+        ]);
+        let body = &encoded[..encoded.len() - 8];
+        for cut in 0..encoded.len() {
+            assert!(decode(&encoded[..cut]).is_err(), "cut to {cut} bytes");
+            if cut < body.len() {
+                // The parser proper, past a checksum that matches.
+                assert!(decode(&sealed(&body[..cut])).is_err(), "body cut to {cut}");
+            }
+        }
+        for pos in 0..encoded.len() {
+            for flip in 1..=255u8 {
+                let mut flipped = encoded.clone();
+                flipped[pos] ^= flip;
+                assert!(decode(&flipped).is_err(), "flip {flip:#x} at {pos}");
+                if pos < body.len() {
+                    assert_decode_holds(&sealed(&flipped[..body.len()]));
+                }
+            }
+        }
+    }
+
     #[test]
     fn find_locates_sections() {
         let sections = sample();

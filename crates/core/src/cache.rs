@@ -1452,7 +1452,7 @@ mod tests {
         // A stored state that does not fit a network of another
         // structure is a counted miss: compute runs on that network's
         // unchanged state, and its artifact overwrites the stored one.
-        let classes = prepared.train_data.classes() + 2;
+        let classes = prepared.train_data.spec().classes + 2;
         let mut wider = nn::models::tiny_cnn("micro", 3, 8, classes, &mut StdRng::seed_from_u64(3));
         let entering = state(&mut wider);
         let misses = cache.counters().misses;

@@ -257,7 +257,9 @@ impl PsumBinning {
     /// `bins × bins`, or a total that is zero or not the sum of the
     /// counts. Each of these would make [`PsumBinning::bin_of`] or
     /// [`PsumBinning::sample_transitions`] panic; [`from_samples`]
-    /// never builds one.
+    /// never builds one. Also on a bin whose members are not strictly
+    /// ascending, where `bin_of` could miss a member and answer the
+    /// nearest-pattern bin instead of its own.
     ///
     /// [`from_samples`]: PsumBinning::from_samples
     pub fn read_from(r: &mut charstore::wire::Reader<'_>) -> std::io::Result<Self> {
@@ -273,9 +275,14 @@ impl PsumBinning {
             if len == 0 {
                 return Err(wire::invalid("empty bin"));
             }
-            let mut bin = Vec::with_capacity(len);
+            let mut bin: Vec<i32> = Vec::with_capacity(len);
             for _ in 0..len {
-                bin.push(r.i32()?);
+                let member = r.i32()?;
+                // `bin_of` binary-searches each bin for its members.
+                if bin.last().is_some_and(|&last| last >= member) {
+                    return Err(wire::invalid("bin members not strictly ascending"));
+                }
+                bin.push(member);
             }
             bins.push(bin);
         }
@@ -428,6 +435,47 @@ mod tests {
                 expected[binning.bin_of(from) * nb + binning.bin_of(to)] += 1;
             }
             assert_eq!(binning.transition_counts(), expected, "{num_bins} bins");
+        }
+    }
+
+    /// The encoding of a 22-bit binning of two bins, `first` and `[2]`,
+    /// with one recorded transition inside each.
+    fn encoded_with_first_bin(first: &[i32]) -> Vec<u8> {
+        use charstore::wire;
+        let mut out = Vec::new();
+        wire::put_usize(&mut out, 22);
+        wire::put_usize(&mut out, 2);
+        for bin in [first, &[2]] {
+            wire::put_usize(&mut out, bin.len());
+            for &v in bin {
+                wire::put_i32(&mut out, v);
+            }
+        }
+        wire::put_usize(&mut out, 4);
+        for count in [1, 0, 0, 1] {
+            wire::put_u64(&mut out, count);
+        }
+        wire::put_u64(&mut out, 2);
+        out
+    }
+
+    #[test]
+    fn decoder_rejects_bins_not_strictly_ascending() {
+        let decode = |first: &[i32]| {
+            let bytes = encoded_with_first_bin(first);
+            PsumBinning::read_from(&mut charstore::wire::Reader::new(&bytes))
+        };
+        assert_eq!(decode(&[3, 5, 9]).expect("ascending bin").bin_of(3), 0);
+        // Decoded as they stand, `bin_of` would binary-search [5, 9, 3]
+        // past its member 3 and answer bin 1, whose first member is the
+        // nearest bit pattern.
+        for bad in [&[5, 9, 3][..], &[3, 5, 5]] {
+            let err = decode(bad).expect_err("bin members not strictly ascending");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{bad:?}: {err}"
+            );
         }
     }
 

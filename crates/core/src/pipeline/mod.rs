@@ -27,7 +27,7 @@ use crate::chars::{MacHardware, PsumBinning, WeightPowerProfile, WeightTimingPro
 use crate::report::{Fig7Entry, Fig8Series, Fig9Series, Table1Row};
 use crate::select::power::{select_by_power, threshold_for_count};
 use crate::voltage::{VoltageModel, VoltageScaling};
-use nn::data::Dataset;
+use nn::data::{Dataset, LazyDataset};
 use nn::layers::GemmCapture;
 use nn::model::Network;
 use rand::rngs::StdRng;
@@ -66,8 +66,10 @@ static PAPER_HW: LazyLock<MacHardware> = LazyLock::new(MacHardware::paper_defaul
 pub struct Prepared {
     /// The (quantization-aware trained) network.
     pub net: Network,
-    /// Training split.
-    pub train_data: Dataset,
+    /// Training split, generated on its first read: only training
+    /// reads it, so a request whose training and retraining stages all
+    /// hit the store never generates it.
+    pub train_data: LazyDataset,
     /// Test split.
     pub test_data: Dataset,
     /// Baseline test accuracy after QAT.

@@ -13,7 +13,7 @@ use crate::chars::{
     WeightTimingProfile,
 };
 use crate::pipeline::{Characterization, NetworkKind, Prepared, Scale};
-use nn::data::SyntheticSpec;
+use nn::data::{LazyDataset, SyntheticSpec};
 use nn::layers::GemmCapture;
 use nn::model::Network;
 use nn::models;
@@ -74,17 +74,22 @@ fn build_network(
     }
 }
 
-/// The deterministic, cheap part of preparation: generated datasets
-/// plus the untrained network skeleton (quantization-aware, accuracy
-/// zeroed). [`prepare`] trains it, or a training-cache hit loads
-/// the stored trained state over it. The returned RNG is positioned
-/// exactly after network construction, so training continues the same
-/// stream the pre-cache implementation used.
+/// The deterministic part of preparation: the test split, the training
+/// split's spec and the untrained network skeleton (quantization-aware,
+/// accuracy zeroed). [`prepare`] trains it, or a training-cache hit
+/// loads the stored trained state over it. Generating a split is not
+/// cheap: on 2 vCPUs the Micro training split takes about 1.1 ms, and a
+/// whole replay from a remote store, which never reads it, about 2.7 ms
+/// without it. So the training split is generated on its first read;
+/// each split seeds its own RNG, so that moves no other stream. The
+/// returned RNG is positioned exactly after network construction, so
+/// training continues the same stream the pre-cache implementation
+/// used.
 pub(crate) fn untrained_prepared(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> (Prepared, StdRng) {
-    let train_data = dataset_spec(ctx, kind, true).generate();
+    let train_data = LazyDataset::new(dataset_spec(ctx, kind, true));
     let test_data = dataset_spec(ctx, kind, false).generate();
     let mut rng = StdRng::seed_from_u64(ctx.cfg.seed ^ (kind as u64));
-    let mut net = build_network(ctx, kind, train_data.classes(), &mut rng);
+    let mut net = build_network(ctx, kind, train_data.spec().classes, &mut rng);
     net.quantize = true;
     (
         Prepared {
@@ -107,7 +112,7 @@ pub(crate) fn prepare(ctx: &PipelineCtx<'_>, kind: NetworkKind) -> Prepared {
     let (mut prepared, mut rng) = untrained_prepared(ctx, kind);
     let mut train_and_evaluate = |net: &mut Network| {
         let config = ctx.cfg.train_config(ctx.cfg.baseline_epochs());
-        let _ = train(net, &prepared.train_data, &config, &mut rng);
+        let _ = train(net, prepared.train_data.get(), &config, &mut rng);
         let accuracy = evaluate(net, &prepared.test_data, 64);
         Trained { accuracy }
     };

@@ -115,11 +115,13 @@ fn cached_retrain(
     let cfg = ctx.cfg.retrain_config();
     let (train, test) = (&prepared.train_data, &prepared.test_data);
     let retrain = |net: &mut Network, rng: &mut StdRng| match mode {
-        RetrainMode::Prune { sparsity } => prune_retrain(net, train, test, sparsity, &cfg, rng),
+        RetrainMode::Prune { sparsity } => {
+            prune_retrain(net, train.get(), test, sparsity, &cfg, rng)
+        }
         RetrainMode::Restricted {
             weights,
             activations,
-        } => restricted_retrain(net, train, test, weights, activations, &cfg, rng),
+        } => restricted_retrain(net, train.get(), test, weights, activations, &cfg, rng),
     };
     let net = &mut prepared.net;
     let Some(cache) = ctx.cache else {

@@ -187,6 +187,14 @@ impl HttpConnection {
     /// [`too_large`] error if the declared body exceeds `limit`, and
     /// `InvalidData` on framing violations.
     pub fn read_response(&mut self, limit: usize) -> io::Result<(ResponseHead, Vec<u8>)> {
+        let (head, body_len) = self.read_head(limit)?;
+        let body = self.read_body(body_len)?;
+        Ok((head, body))
+    }
+
+    /// Reads and consumes one response head whose declared body fits
+    /// `limit`; returns it with the body length.
+    fn read_head(&mut self, limit: usize) -> io::Result<(ResponseHead, usize)> {
         let (head, consumed) = loop {
             match parse_response_head(&self.buf)? {
                 Parsed::Complete { head, consumed } => break (head, consumed),
@@ -198,12 +206,23 @@ impl HttpConnection {
         }
         let body_len = usize::try_from(head.content_length).expect("checked against limit");
         self.buf.drain(..consumed);
-        while self.buf.len() < body_len {
-            self.fill()?;
+        Ok((head, body_len))
+    }
+
+    /// Reads a body of `len` bytes into one allocation of `len` bytes:
+    /// the buffered prefix moves into it and the rest is read straight
+    /// into it, never past the body's end.
+    fn read_body(&mut self, len: usize) -> io::Result<Vec<u8>> {
+        let have = self.buf.len().min(len);
+        let mut body = Vec::with_capacity(len);
+        body.extend(self.buf.drain(..have));
+        (&mut self.stream)
+            .take((len - have) as u64)
+            .read_to_end(&mut body)?;
+        if body.len() < len {
+            return Err(closed_mid_response());
         }
-        let mut body: Vec<u8> = self.buf.drain(..body_len).collect();
-        body.shrink_to_fit();
-        Ok((head, body))
+        Ok(body)
     }
 
     /// Whether any response bytes have arrived on this connection for
@@ -220,13 +239,17 @@ impl HttpConnection {
         let n = self.stream.read(&mut self.buf[start..]);
         self.buf.truncate(start + n.as_ref().copied().unwrap_or(0));
         match n? {
-            0 => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            )),
+            0 => Err(closed_mid_response()),
             _ => Ok(()),
         }
     }
+}
+
+fn closed_mid_response() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "connection closed mid-response",
+    )
 }
 
 /// Wraps an already-connected stream as it is, with no timeouts or
@@ -317,9 +340,16 @@ impl HttpClient {
             error,
         };
         conn.send(spec).map_err(|e| fail(&conn, e))?;
-        let (head, body) = conn
-            .read_response(spec.response_limit)
+        let (head, body_len) = conn
+            .read_head(spec.response_limit)
             .map_err(|e| fail(&conn, e))?;
+        // The head has arrived, so a failure from here on is never
+        // retried: it may be a stalled daemon, and a retry would double
+        // the wait.
+        let body = conn.read_body(body_len).map_err(|error| RoundTripError {
+            error,
+            retryable: false,
+        })?;
         if head.keep_alive {
             let mut idle = self.idle.lock().expect("httpwire pool poisoned");
             if idle.len() < MAX_IDLE {
@@ -459,6 +489,101 @@ mod tests {
         let (head, body) = conn.read_response(1024).expect("second");
         assert_eq!((head.status, body.as_slice()), (404, &b"second"[..]));
         handle.join().expect("server");
+    }
+
+    /// Reads one body-less request head off `stream`.
+    fn read_request_head(stream: &mut TcpStream) {
+        let mut buf = Vec::new();
+        while let Parsed::NeedMore = crate::parse_request_head(&buf).expect("parse") {
+            let mut chunk = [0u8; 4096];
+            let n = stream.read(&mut chunk).expect("read");
+            assert!(n > 0, "client closed mid-request");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    /// Index of the first byte where `got` and `want` differ, if any.
+    fn first_difference(got: &[u8], want: &[u8]) -> Option<usize> {
+        (got != want).then(|| got.iter().zip(want).take_while(|(a, b)| a == b).count())
+    }
+
+    /// A body longer than a read chunk that arrives partly with its
+    /// head and then in small delayed writes, the last of which also
+    /// carries a pipelined second response: the body reads byte for
+    /// byte, and the second response stays on the connection intact.
+    #[test]
+    fn body_arriving_after_its_head_reads_whole_and_keeps_the_next_response() {
+        const BODY: usize = 40_000;
+        let body: Vec<u8> = (0..BODY).map(|i| (i % 251) as u8).collect();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let sent = body.clone();
+        let handle = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let first =
+                crate::Response::bytes(200, "application/octet-stream", sent).encode(true, None);
+            let with_head = first.len() - BODY + 5_000;
+            stream.write_all(&first[..with_head]).expect("write");
+            let mut rest = first[with_head..].to_vec();
+            rest.extend_from_slice(&crate::Response::json(404, "second").encode(false, None));
+            // 4,999 does not divide the rest, so one write straddles the
+            // end of the body and the start of the second response.
+            for piece in rest.chunks(4_999) {
+                thread::sleep(Duration::from_millis(10));
+                stream.write_all(piece).expect("write");
+            }
+        });
+        let mut conn = HttpConnection::from(TcpStream::connect(addr).expect("connect"));
+        let (head, got) = conn.read_response(1 << 20).expect("first");
+        assert_eq!(head.status, 200);
+        assert_eq!(first_difference(&got, &body), None, "body differs");
+        let (head, got) = conn.read_response(1024).expect("second");
+        assert_eq!((head.status, got.as_slice()), (404, &b"second"[..]));
+        handle.join().expect("server");
+    }
+
+    /// A pooled connection that dies after part of a large body fails
+    /// the request with the disconnect: its head had arrived, so the
+    /// client must not send the request again on a fresh dial.
+    #[test]
+    fn pooled_connection_dying_mid_body_is_not_retried() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handle = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            read_request_head(&mut stream);
+            let reply = crate::Response::json(200, "pooled").encode(true, None);
+            stream.write_all(&reply).expect("write");
+            read_request_head(&mut stream);
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n")
+                .expect("write");
+            stream.write_all(&[7u8; 30_000]).expect("write");
+            // Drop: the daemon dies 70,000 bytes short.
+            listener
+        });
+        let client = HttpClient::new(
+            &addr,
+            ClientConfig {
+                connect_timeout: Duration::from_secs(2),
+                io_timeout: Duration::from_secs(2),
+            },
+        );
+        let first = client
+            .send(&RequestSpec::get("/a", 1 << 20))
+            .expect("first");
+        assert_eq!(first.body, b"pooled");
+        assert_eq!(client.idle_connections(), 1);
+        let err = client
+            .send(&RequestSpec::get("/b", 1 << 20))
+            .expect_err("a body cut short must fail");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        let listener = handle.join().expect("server");
+        listener.set_nonblocking(true).expect("nonblocking");
+        match listener.accept() {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            other => panic!("the request went out again on a fresh dial: {other:?}"),
+        }
     }
 
     #[test]

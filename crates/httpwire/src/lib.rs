@@ -9,8 +9,8 @@
 //! consumed or ask for more input — no reads, no blocking, no sockets —
 //! so a nonblocking reactor, a blocking client and a unit test all
 //! drive the exact same parser. Serialization mirrors it:
-//! [`Response::encode`] and [`encode_request_head`] produce byte
-//! buffers the caller writes however it likes.
+//! [`Response::encode_head`] and [`encode_request_head`] produce head
+//! bytes the caller writes, followed by the body, however it likes.
 //!
 //! The subset spoken is deliberately tiny — `Content-Length` bodies
 //! only, no chunked encoding, no TLS — but unlike the pre-reactor
@@ -319,7 +319,7 @@ pub fn reason(status: u16) -> &'static str {
 /// A response as a value: status, content type and body bytes. Route
 /// handlers build and return these — serialization to the wire (and
 /// the keep-alive / trace decoration) happens in one place,
-/// [`Response::encode`].
+/// [`Response::encode_head`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// The status code ([`reason`] supplies the phrase).
@@ -365,12 +365,14 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers and body into one write-ready
-    /// buffer. `keep_alive` selects the `Connection` header; a `trace`
-    /// is echoed as `X-Trace-Id` so the caller learns the ID the
-    /// server logged under.
+    /// Serializes the status line and headers. On the wire the body
+    /// follows them unchanged, so a writer sends these bytes and then
+    /// [`Response::body`] without joining them into one buffer.
+    /// `keep_alive` selects the `Connection` header; a `trace` is echoed
+    /// as `X-Trace-Id` so the caller learns the ID the server logged
+    /// under.
     #[must_use]
-    pub fn encode(&self, keep_alive: bool, trace: Option<&str>) -> Vec<u8> {
+    pub fn encode_head(&self, keep_alive: bool, trace: Option<&str>) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
@@ -389,9 +391,7 @@ impl Response {
         } else {
             "Connection: close\r\n\r\n"
         });
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.body);
-        out
+        head.into_bytes()
     }
 }
 
@@ -413,6 +413,16 @@ pub fn encode_request_head(
     format!(
         "{method} {path} HTTP/1.1\r\nHost: charserve\r\nContent-Type: {content_type}\r\nContent-Length: {body_len}\r\n{trace}Connection: {connection}\r\n\r\n"
     )
+}
+
+/// The whole response as one buffer, for tests that write raw bytes.
+#[cfg(test)]
+impl Response {
+    fn encode(&self, keep_alive: bool, trace: Option<&str>) -> Vec<u8> {
+        let mut wire = self.encode_head(keep_alive, trace);
+        wire.extend_from_slice(&self.body);
+        wire
+    }
 }
 
 #[cfg(test)]
@@ -531,6 +541,115 @@ mod tests {
         let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
+    }
+
+    /// One head parser's answer to hostile bytes: no panic, only
+    /// `InvalidData`, and nothing past the caps a caller sizes its
+    /// buffer by. It asks for more only while `buf` fits
+    /// [`MAX_HEAD_BYTES`]; a complete head's lines, its blank
+    /// terminator aside, fit it too, each within [`MAX_LINE_BYTES`],
+    /// with at most [`MAX_HEADER_LINES`] header lines after the first.
+    fn assert_within_caps<T>(buf: &[u8], parsed: io::Result<Parsed<T>>) {
+        match parsed {
+            Ok(Parsed::NeedMore) => assert!(buf.len() <= MAX_HEAD_BYTES, "{} bytes", buf.len()),
+            Ok(Parsed::Complete { consumed, .. }) => {
+                let terminator = if buf[..consumed].ends_with(b"\r\n") {
+                    2
+                } else {
+                    1
+                };
+                let lines: Vec<&[u8]> = buf[..consumed - terminator]
+                    .split_inclusive(|&b| b == b'\n')
+                    .collect();
+                assert!(consumed - terminator <= MAX_HEAD_BYTES);
+                assert!(lines.len() <= 1 + MAX_HEADER_LINES, "{} lines", lines.len());
+                assert!(lines.iter().all(|line| line.len() <= MAX_LINE_BYTES + 2));
+            }
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+        }
+    }
+
+    fn assert_heads_hold(buf: &[u8]) {
+        assert_within_caps(buf, parse_request_head(buf));
+        assert_within_caps(buf, parse_response_head(buf));
+    }
+
+    /// A request head and two response heads as this crate writes them.
+    fn valid_heads() -> Vec<Vec<u8>> {
+        vec![
+            encode_request_head(
+                "POST",
+                "/characterize",
+                "application/json",
+                18,
+                Some("00000000000000ff"),
+                true,
+            )
+            .into_bytes(),
+            Response::json(200, "{}").encode_head(true, Some("00aa00aa00aa00aa")),
+            Response::too_many_requests(1, "{}").encode_head(false, None),
+        ]
+    }
+
+    #[test]
+    fn head_parsers_survive_arbitrary_bytes() {
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Raw bytes; then bytes from a head-like alphabet, some long
+        // enough to cross the line and head caps, behind a valid first
+        // line of each kind so the header loop sees them.
+        let alphabet = b"ab:- 0123456789\r\n\n\n";
+        for case in 0..3000 {
+            let len = (next() % 400) as usize;
+            let raw: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_heads_hold(&raw);
+            let len = if case % 100 == 0 { 20_000 } else { len };
+            let text: Vec<u8> = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect();
+            for first in [&b"GET / HTTP/1.1\r\n"[..], b"HTTP/1.1 200 OK\r\n"] {
+                let mut head = first.to_vec();
+                head.extend_from_slice(&text);
+                assert_heads_hold(&head);
+            }
+        }
+        // A flood of short header lines, complete or not.
+        let mut flood = b"HTTP/1.1 200 OK\r\n".to_vec();
+        for _ in 0..4 * MAX_HEADER_LINES {
+            flood.extend_from_slice(b"a: 1\r\n");
+            assert_heads_hold(&flood);
+            let mut done = flood.clone();
+            done.extend_from_slice(b"\r\n");
+            assert_heads_hold(&done);
+        }
+    }
+
+    #[test]
+    fn head_parsers_survive_truncation_and_flips() {
+        for head in valid_heads() {
+            for cut in 0..head.len() {
+                assert_eq!(
+                    parse_request_head(&head[..cut]).ok(),
+                    Some(Parsed::NeedMore)
+                );
+                assert_eq!(
+                    parse_response_head(&head[..cut]).ok(),
+                    Some(Parsed::NeedMore)
+                );
+            }
+            for pos in 0..head.len() {
+                for flip in 1..=255u8 {
+                    let mut flipped = head.clone();
+                    flipped[pos] ^= flip;
+                    assert_heads_hold(&flipped);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,39 @@ pub use synthetic::SyntheticSpec;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use std::sync::OnceLock;
+
+/// A synthetic split generated on first read, at most once. The
+/// generator seeds its own RNG from the spec, so when (or whether) the
+/// split is read moves no other random stream.
+#[derive(Debug)]
+pub struct LazyDataset {
+    spec: SyntheticSpec,
+    data: OnceLock<Dataset>,
+}
+
+impl LazyDataset {
+    /// A split that [`LazyDataset::get`] generates from `spec`.
+    #[must_use]
+    pub fn new(spec: SyntheticSpec) -> Self {
+        LazyDataset {
+            spec,
+            data: OnceLock::new(),
+        }
+    }
+
+    /// The spec the split is generated from.
+    #[must_use]
+    pub fn spec(&self) -> &SyntheticSpec {
+        &self.spec
+    }
+
+    /// The split, generated on the first call.
+    #[must_use]
+    pub fn get(&self) -> &Dataset {
+        self.data.get_or_init(|| self.spec.generate())
+    }
+}
 
 /// An in-memory labeled image dataset (NCHW).
 #[derive(Debug, Clone)]
@@ -123,6 +156,18 @@ mod tests {
         let mut seen: Vec<usize> = batches.concat();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn lazy_split_generates_once_on_first_read() {
+        let spec = SyntheticSpec::cifar10_like(4, 6, 9);
+        let lazy = LazyDataset::new(spec.clone());
+        assert!(lazy.data.get().is_none(), "generated before the first read");
+        let first: *const Dataset = lazy.get();
+        assert!(std::ptr::eq(first, lazy.get()), "generated twice");
+        let eager = spec.generate();
+        assert_eq!(lazy.get().head(6).0.data(), eager.head(6).0.data());
+        assert_eq!(lazy.get().head(6).1, eager.head(6).1);
     }
 
     #[test]

@@ -416,10 +416,11 @@ fn psum_encodings() -> &'static (Vec<u8>, Vec<u8>) {
 
 /// Feeds `bytes` to the binning and statistics decoders. Neither may
 /// panic or fail with anything but `InvalidData`. A decoded binning
-/// re-encodes to exactly the bytes it consumed; `bin_of`,
-/// `transition_probability` and `sample_transitions` run on it, and its
-/// probabilities sum to one. Decoded statistics survive a round trip,
-/// and `sample_activation_transitions` runs on them whenever they
+/// re-encodes to exactly the bytes it consumed; `bin_of` finds every
+/// member in a bin that holds it, `transition_probability` and
+/// `sample_transitions` run on it, and its probabilities sum to one.
+/// Decoded statistics survive a round trip, and
+/// `sample_activation_transitions` runs on them whenever they
 /// record a transition, drawing only transitions they recorded.
 fn assert_psum_decoders_hold(bytes: &[u8]) {
     use charstore::wire::Reader;
@@ -439,7 +440,13 @@ fn assert_psum_decoders_hold(bytes: &[u8]) {
                 assert!(binning.bin_of(probe) < nb);
             }
             for bin in 0..nb {
-                assert!(binning.bin_of(binning.members(bin)[0]) < nb);
+                for &member in binning.members(bin) {
+                    let found = binning.bin_of(member);
+                    assert!(
+                        binning.members(found).contains(&member),
+                        "bin_of({member}) answered bin {found}, which does not hold it"
+                    );
+                }
             }
             let mut probability = 0.0;
             for from in 0..nb {
