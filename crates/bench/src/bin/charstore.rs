@@ -8,8 +8,9 @@
 //! charstore [--dir DIR] [--remote ADDR] warm [--scale S] [--all-networks] [--sweep]
 //!                                              run the full cacheable pipeline (prepare,
 //!                                              capture, characterize, timing) against the
-//!                                              store and report hits/misses plus the
-//!                                              training-epoch and gate-transition counters;
+//!                                              store and report hits/misses, the
+//!                                              training-epoch and gate-transition counters
+//!                                              and seconds per stage and in training;
 //!                                              --sweep also runs the power-threshold sweep
 //!                                              so every sweep-point retrain artifact is
 //!                                              warmed (reported as retrain_hits/misses)
@@ -271,6 +272,7 @@ fn cmd_warm(dir: &str, remote: Option<&str>, rest: &[String]) -> Result<(), Stri
     let retrain_hits_before = retrain_counter("charcache_retrain_hits_total");
     let retrain_misses_before = retrain_counter("charcache_retrain_misses_total");
     let gates_pruned_before = retrain_counter("gatesim_gates_pruned_total");
+    let ledger_before = ledger_readings();
     for &kind in kinds {
         // One trace per warmed network: the stage spans recorded below
         // and any remote-tier fetches (which forward the ID as
@@ -332,7 +334,37 @@ fn cmd_warm(dir: &str, remote: Option<&str>, rest: &[String]) -> Result<(), Stri
             gets.count()
         );
     }
+    let ledger = ledger_readings();
+    let spent = |i: usize| {
+        let ((sum, count), (sum0, count0)) = (ledger[i], ledger_before[i]);
+        (sum - sum0, count - count0)
+    };
+    let stages: Vec<String> = (0..4)
+        .map(|i| format!("{}={:.3}", LEDGER[i].0, spent(i).0))
+        .collect();
+    println!("stage seconds: {}", stages.join(" "));
+    let (seconds, epochs) = spent(4);
+    println!("training: seconds={seconds:.3} epochs={epochs}");
     Ok(())
+}
+
+/// The wall-clock histograms `warm` reports as its time ledger: the four
+/// pipeline stages in order, then training epochs (the baseline's, which
+/// prepare includes, and every retrain's).
+const LEDGER: [(&str, &str); 5] = [
+    ("prepare", "pipeline_prepare_seconds"),
+    ("capture", "pipeline_capture_seconds"),
+    ("characterize", "pipeline_characterize_seconds"),
+    ("timing", "pipeline_timing_seconds"),
+    ("training", "nn_training_epoch_seconds"),
+];
+
+/// `(sum, count)` of each [`LEDGER`] histogram.
+fn ledger_readings() -> [(f64, u64); 5] {
+    LEDGER.map(|(_, metric)| {
+        let h = obs::metrics::histogram(metric, obs::metrics::LATENCY_SECONDS);
+        (h.sum(), h.count())
+    })
 }
 
 fn cmd_verify(dir: &str) -> Result<(), String> {

@@ -15,9 +15,11 @@
 //! The assignment records each observed value's home bin as it goes,
 //! and the bin-transition counts are taken through that index: one
 //! binary search over the distinct values per sample value. The public
-//! lookup [`PsumBinning::bin_of`] scans the bins instead, and falls back
-//! to the nearest bit pattern for a value that was never observed; for
-//! every observed value both give the same bin.
+//! lookup [`PsumBinning::bin_of`] scans the bins instead; for every
+//! observed value both give the same bin. A value that was never
+//! observed goes to the bin whose first (smallest) member is nearest to
+//! it in Hamming distance, the lowest bin index on a tie: bin averages
+//! play no part in the lookup.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -159,7 +161,8 @@ impl PsumBinning {
     }
 
     /// The bin a value belongs to: its home bin if it was observed,
-    /// otherwise the bin with the nearest average bit pattern.
+    /// otherwise the bin whose first (smallest) member differs from it in
+    /// the fewest of the low `bits` bits, the lowest bin index on a tie.
     #[must_use]
     pub fn bin_of(&self, value: i32) -> usize {
         // Exact membership first.
@@ -259,7 +262,7 @@ impl PsumBinning {
     /// [`PsumBinning::sample_transitions`] panic; [`from_samples`]
     /// never builds one. Also on a bin whose members are not strictly
     /// ascending, where `bin_of` could miss a member and answer the
-    /// nearest-pattern bin instead of its own.
+    /// bin of the nearest first member instead of its own.
     ///
     /// [`from_samples`]: PsumBinning::from_samples
     pub fn read_from(r: &mut charstore::wire::Reader<'_>) -> std::io::Result<Self> {
@@ -358,6 +361,28 @@ mod tests {
             let bin = binning.bin_of(a);
             assert!(binning.members(bin).binary_search(&a).is_ok());
         }
+    }
+
+    #[test]
+    fn unobserved_values_go_to_the_nearest_first_member() {
+        // 4-bit values. Bin 0's members are nearer to 0b1111 on average
+        // (2.33 differing bits, against 3 for bins 1 and 2), but only
+        // first members count: they differ from 0b1111 in 4, 3 and 3
+        // bits, and the tie goes to the lower index.
+        let binning = PsumBinning {
+            bits: 4,
+            bins: vec![vec![0b0000, 0b0011, 0b0111], vec![0b0001], vec![0b1000]],
+            counts: vec![1; 9],
+            total: 9,
+        };
+        assert_eq!(binning.bin_of(0b1111), 1);
+        // Only the low `bits` bits count: −1 has the same pattern.
+        assert_eq!(binning.bin_of(-1), 1);
+        // One bit from bin 2's first member, two from bin 0's.
+        assert_eq!(binning.bin_of(0b1010), 2);
+        // A member stays in its own bin, though bin 1's first member is
+        // nearer to it than bin 0's.
+        assert_eq!(binning.bin_of(0b0111), 0);
     }
 
     #[test]

@@ -558,3 +558,70 @@ proptest! {
         }
     }
 }
+
+/// Runs one `wire::Reader` call on `r`, chosen by `call % 10`, with
+/// `call / 10` as the `take` length or (mod 17) the `bounded_len`
+/// element size. Every failure must be `InvalidData` and `remaining()`
+/// must not grow. A fixed-width read that succeeds consumes exactly its
+/// width, and a `bounded_len(e)` that succeeds claims at most
+/// `remaining() / e` elements.
+fn assert_reader_call_holds(r: &mut charstore::wire::Reader<'_>, call: u32) {
+    let arg = (call / 10) as usize;
+    let before = r.remaining();
+    let (result, width) = match call % 10 {
+        0 => (r.u8().map(drop), Some(1)),
+        1 => (r.u32().map(drop), Some(4)),
+        2 => (r.u64().map(drop), Some(8)),
+        3 => (r.i32().map(drop), Some(4)),
+        4 => (r.f32().map(drop), Some(4)),
+        5 => (r.f64().map(drop), Some(8)),
+        6 => (r.take(arg).map(drop), Some(arg)),
+        7 => {
+            let elem = arg % 17;
+            let result = r.bounded_len(elem).map(|count| {
+                assert!(
+                    elem > 0 && count <= r.remaining() / elem,
+                    "bounded_len({elem}) claimed {count} with {} bytes left",
+                    r.remaining()
+                );
+            });
+            (result, Some(8))
+        }
+        8 => (r.str().map(drop), None),
+        _ => (r.finish(), Some(0)),
+    };
+    assert!(r.remaining() <= before, "remaining grew from {before}");
+    match result {
+        Ok(()) => {
+            if let Some(width) = width {
+                assert_eq!(before - r.remaining(), width, "call {call}");
+            }
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `wire::Reader` on its own, under arbitrary bytes and an arbitrary
+    /// sequence of calls: no call panics, every failure is
+    /// `InvalidData`, `remaining()` never grows, and a `bounded_len(e)`
+    /// that succeeds claims at most `remaining() / e` elements. The calls
+    /// run on the bytes as drawn and again with every byte of 16 or more
+    /// zeroed, so that counts are often small enough for `bounded_len`
+    /// and `str` to succeed.
+    #[test]
+    fn wire_reader_survives_arbitrary_bytes_and_calls(
+        bytes in prop::collection::vec(0u8..=255, 0..200),
+        calls in prop::collection::vec(0u32..400, 0..48),
+    ) {
+        let sparse: Vec<u8> = bytes.iter().map(|&b| if b < 16 { b } else { 0 }).collect();
+        for input in [&bytes, &sparse] {
+            let mut r = charstore::wire::Reader::new(input);
+            for &call in &calls {
+                assert_reader_call_holds(&mut r, call);
+            }
+        }
+    }
+}
