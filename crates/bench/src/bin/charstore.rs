@@ -325,14 +325,15 @@ fn cmd_warm(dir: &str, remote: Option<&str>, rest: &[String]) -> Result<(), Stri
     print_tier_table();
     let gets = obs::metrics::histogram("charstore_get_seconds", obs::metrics::LATENCY_SECONDS);
     if gets.count() > 0 {
-        let (p50, p95, p99) = gets.percentiles();
-        println!(
-            "store get latency: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms over {} gets",
-            p50 * 1e3,
-            p95 * 1e3,
-            p99 * 1e3,
-            gets.count()
-        );
+        // A tail quantile is printed only once ten samples lie beyond
+        // it; below that it reads the slowest get's bucket bound.
+        let mut latency = format!("p50 {:.3} ms", gets.quantile(0.50) * 1e3);
+        for (label, q, min_gets) in [("p95", 0.95, 200), ("p99", 0.99, 1_000)] {
+            if gets.count() >= min_gets {
+                latency += &format!(", {label} {:.3} ms", gets.quantile(q) * 1e3);
+            }
+        }
+        println!("store get latency: {latency} over {} gets", gets.count());
     }
     let ledger = ledger_readings();
     let spent = |i: usize| {

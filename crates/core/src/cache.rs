@@ -711,9 +711,7 @@ impl Artifact for Trained {
 
     fn encode(&self, net: &mut Network) -> Vec<Section> {
         vec![
-            write_section(section::NET_STATE, |b| {
-                nn::serialize::save_state(net, b).expect("Vec writes cannot fail");
-            }),
+            Section::new(section::NET_STATE, nn::serialize::save_state(net)),
             write_section(section::ACCURACY, |b| wire::put_f64(b, self.accuracy)),
         ]
     }
@@ -724,7 +722,7 @@ impl Artifact for Trained {
         let accuracy = read_section(sections, section::ACCURACY, Reader::f64)?;
         let state = find(sections, section::NET_STATE)
             .ok_or_else(|| wire::invalid("artifact is missing the network state"))?;
-        nn::serialize::load_state(net, state.bytes.as_slice())?;
+        nn::serialize::load_state(net, &state.bytes)?;
         Ok(Trained { accuracy })
     }
 }
@@ -1405,11 +1403,7 @@ mod tests {
     #[test]
     fn retrain_artifact_restores_the_network_bit_exactly() {
         use rand::SeedableRng;
-        let state = |net: &mut Network| {
-            let mut bytes = Vec::new();
-            nn::serialize::save_state(net, &mut bytes).unwrap();
-            bytes
-        };
+        let state = nn::serialize::save_state;
         let p = micro_ctx_pipeline();
         let ctx = p.ctx();
         let (mut prepared, _) = untrained_prepared(&ctx, NetworkKind::LeNet5);

@@ -368,7 +368,7 @@ impl Pipeline {
 
         let mut best_sel: Option<crate::select::DelaySelection> = None;
         let mut best_acc = acc_orig;
-        let mut best_state = prepared.net.snapshot();
+        let mut best_state = nn::serialize::save_state(&mut prepared.net);
         let mut threshold_ps = window.base_max_rounded_ps - self.cfg.delay_step_ps;
         for _ in 0..self.cfg.max_delay_steps {
             if threshold_ps < window.floor_ps.max(timing.psum_floor_ps) {
@@ -385,8 +385,11 @@ impl Pipeline {
             );
             if acc + self.cfg.accuracy_drop_tolerance < acc_orig {
                 // Accuracy dropped noticeably: roll back to the previous
-                // point (weights *and* restriction sets) and stop.
-                prepared.net.restore(&best_state);
+                // point and stop. Its state restores the parameters and
+                // the batch-norm running statistics; its restriction
+                // sets are reinstalled below.
+                nn::serialize::load_state(&mut prepared.net, &best_state)
+                    .expect("a network's own state fits it");
                 match &best_sel {
                     Some(prev) => {
                         prepared.net.set_weight_restriction(Some(nn::ValueSet::new(
@@ -408,7 +411,7 @@ impl Pipeline {
                 break;
             }
             best_acc = acc;
-            best_state = prepared.net.snapshot();
+            best_state = nn::serialize::save_state(&mut prepared.net);
             best_sel = Some(sel);
             threshold_ps -= self.cfg.delay_step_ps;
         }

@@ -193,12 +193,6 @@ impl Layer for Residual {
     }
 }
 
-/// A point-in-time copy of a network's trainable parameters.
-#[derive(Debug, Clone)]
-pub struct NetworkState {
-    params: Vec<Tensor>,
-}
-
 /// A complete network: a root layer plus PowerPruning configuration.
 ///
 /// # Examples
@@ -326,38 +320,6 @@ impl Network {
         count
     }
 
-    /// Captures the current values of every trainable parameter.
-    ///
-    /// Use with [`Network::restore`] to roll back to an earlier training
-    /// state (e.g. when a threshold sweep overshoots).
-    #[must_use]
-    pub fn snapshot(&mut self) -> NetworkState {
-        let mut params = Vec::new();
-        self.root
-            .visit_params(&mut |p| params.push(p.value.clone()));
-        NetworkState { params }
-    }
-
-    /// Restores parameter values captured by [`Network::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not match the network's structure.
-    pub fn restore(&mut self, state: &NetworkState) {
-        let mut idx = 0usize;
-        self.root.visit_params(&mut |p| {
-            assert!(idx < state.params.len(), "snapshot has too few parameters");
-            assert_eq!(
-                p.value.shape(),
-                state.params[idx].shape(),
-                "snapshot shape mismatch at parameter {idx}"
-            );
-            p.value = state.params[idx].clone();
-            idx += 1;
-        });
-        assert_eq!(idx, state.params.len(), "snapshot has too many parameters");
-    }
-
     /// Fraction of weights whose quantized code is zero, over all
     /// conv/dense weight tensors (paper-style sparsity metric).
     #[must_use]
@@ -389,6 +351,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::layers::{Dense, QuantReLU};
+    use crate::serialize::{load_state, save_state};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -535,31 +498,52 @@ mod tests {
         assert_eq!(net.param_count(), 4 * 8 + 8 + 8 * 3 + 3);
     }
 
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut net = mlp();
-        let x = Tensor::from_vec(&[1, 4], vec![0.4, -0.2, 0.9, 0.1]);
-        let before = net.predict(&x);
-        let state = net.snapshot();
-        // Perturb every parameter.
-        net.visit_params(&mut |p| {
-            for v in p.value.data_mut() {
-                *v += 1.0;
-            }
-        });
-        assert_ne!(net.predict(&x).data(), before.data());
-        net.restore(&state);
-        assert_eq!(net.predict(&x).data(), before.data());
+    /// A conv + batch-norm network: its inference reads the running
+    /// statistics as well as the parameters.
+    fn bn_net() -> Network {
+        let mut r = rng();
+        let root = Sequential::new("bn-net")
+            .with(crate::layers::Conv2d::new("conv", 1, 4, 3, 1, 1, 1, &mut r))
+            .with(crate::layers::BatchNorm2d::new("bn", 4))
+            .with(QuantReLU::new("relu", 6.0));
+        Network::new(root)
     }
 
     #[test]
-    #[should_panic(expected = "snapshot")]
+    fn snapshot_restore_round_trips() {
+        // A rollback through the state codec (Table I's delay sweep):
+        // the training forward between save and load moves the running
+        // statistics, and the load must put them back with the
+        // parameters.
+        let mut net = bn_net();
+        let batch = |offset: usize| {
+            let pixels = (0..128).map(|i| ((i * 7 + offset) % 11) as f32 * 0.1);
+            Tensor::from_vec(&[2, 1, 8, 8], pixels.collect())
+        };
+        let x = batch(0);
+        let before = net.predict(&x);
+        let state = save_state(&mut net);
+        let _ = net.forward_train(&batch(3));
+        assert_ne!(net.predict(&x).data(), before.data());
+        load_state(&mut net, &state).expect("a network's own state fits it");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&net.predict(&x)), bits(&before));
+    }
+
+    #[test]
     fn restore_rejects_wrong_structure() {
         let mut a = mlp();
-        let state = a.snapshot();
+        let state = save_state(&mut a);
         let mut rng = rng();
         let other = Sequential::new("other").with(Dense::new("fc", 2, 2, &mut rng));
         let mut b = Network::new(other);
-        b.restore(&state);
+        let before = save_state(&mut b);
+        let err = load_state(&mut b, &state).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            save_state(&mut b),
+            before,
+            "a rejected load changed the network"
+        );
     }
 }

@@ -4,12 +4,10 @@
 //! container (`PPNNSTA1` magic, per-tensor shape + little-endian `f32`
 //! payloads) holding a network's parameters **plus** its non-trainable
 //! buffers (batch-norm running statistics). This is the bit-exact
-//! inference state of a trained network, and what the pipeline's
-//! training cache persists: restoring parameters alone would change
-//! batch-norm inference outputs. Both work through any `Read`/`Write`,
-//! so callers can target files, buffers or pipes; note that a `&mut`
-//! reference to a reader/writer also implements the trait and can be
-//! passed here.
+//! inference state of a trained network: what the pipeline's training
+//! cache persists and what Table I's delay sweep rolls back to.
+//! Restoring parameters alone would change batch-norm inference
+//! outputs.
 //!
 //! [`write_captures`]/[`read_captures`] are the bit-exact wire codecs
 //! for [`GemmCapture`] traces, so captured forward passes can live in
@@ -19,151 +17,123 @@ use crate::layers::GemmCapture;
 use crate::model::Network;
 use crate::tensor::Tensor;
 use charstore::wire::{self, Reader};
-use std::io::{self, Read, Write};
+use std::io;
 
 const STATE_MAGIC: &[u8; 8] = b"PPNNSTA1";
 
-/// Writes every trainable parameter *and* every non-trainable state
-/// buffer of `net` to `w` — the complete inference state of a trained
-/// network: the parameter count, then per parameter its rank, shape and
+/// Encodes every trainable parameter *and* every non-trainable state
+/// buffer of `net` — the complete inference state of a trained network:
+/// the parameter count, then per parameter its rank, shape and
 /// little-endian `f32` payload, then the buffer count and per buffer
 /// its length and payload.
-///
-/// # Errors
-///
-/// Returns any I/O error from the underlying writer.
-pub fn save_state<W: Write>(net: &mut Network, mut w: W) -> io::Result<()> {
-    let mut tensors: Vec<(Vec<usize>, Vec<f32>)> = Vec::new();
+#[must_use]
+pub fn save_state(net: &mut Network) -> Vec<u8> {
+    let (mut params, mut buffers) = (0, 0);
+    net.visit_params(&mut |_| params += 1);
+    net.visit_buffers(&mut |_| buffers += 1);
+    let mut out = STATE_MAGIC.to_vec();
+    wire::put_usize(&mut out, params);
     net.visit_params(&mut |p| {
-        tensors.push((p.value.shape().to_vec(), p.value.data().to_vec()));
+        wire::put_usize(&mut out, p.value.shape().len());
+        for &dim in p.value.shape() {
+            wire::put_usize(&mut out, dim);
+        }
+        put_f32s(&mut out, p.value.data());
     });
-    let mut buffers: Vec<Vec<f32>> = Vec::new();
-    net.visit_buffers(&mut |b| buffers.push(b.clone()));
-    w.write_all(STATE_MAGIC)?;
-    w.write_all(&(tensors.len() as u64).to_le_bytes())?;
-    for (shape, data) in &tensors {
-        w.write_all(&(shape.len() as u64).to_le_bytes())?;
-        for &dim in shape {
-            w.write_all(&(dim as u64).to_le_bytes())?;
-        }
-        for &v in data {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    w.write_all(&(buffers.len() as u64).to_le_bytes())?;
-    for buf in &buffers {
-        w.write_all(&(buf.len() as u64).to_le_bytes())?;
-        for &v in buf {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    Ok(())
+    wire::put_usize(&mut out, buffers);
+    net.visit_buffers(&mut |b| {
+        wire::put_usize(&mut out, b.len());
+        put_f32s(&mut out, b);
+    });
+    out
 }
 
-/// Upper bound on tensors per file: far above any real model here, far
-/// below anything that could be used to exhaust memory via the header.
-const MAX_TENSORS: u64 = 1 << 20;
-/// Upper bound on tensor rank.
-const MAX_RANK: u64 = 16;
-/// Upper bound on elements per tensor (4 GiB of f32 payload).
-const MAX_ELEMENTS: u64 = 1 << 30;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads one 8-byte header field (magic, count, rank, shape or length).
-/// Input that ends inside a field is truncated, so the short read is
-/// `InvalidData` like every other malformed input, not `UnexpectedEof`.
-fn read_field<R: Read>(r: &mut R, what: &str) -> io::Result<[u8; 8]> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => invalid(format!("truncated {what}")),
-        _ => e,
-    })?;
-    Ok(buf)
-}
-
-fn read_u64<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
-    read_field(r, what).map(u64::from_le_bytes)
-}
-
-/// Reads the parameter tensor list of a state file, with the full
-/// hardening discipline (see [`load_state`]).
-fn read_tensors<R: Read>(r: &mut R) -> io::Result<Vec<Tensor>> {
-    let count64 = read_u64(r, "tensor count")?;
-    if count64 > MAX_TENSORS {
-        return Err(invalid(format!(
-            "implausible tensor count {count64} (max {MAX_TENSORS})"
-        )));
+fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    out.reserve(4 * values.len());
+    for &v in values {
+        wire::put_f32(out, v);
     }
-    let count = count64 as usize;
-
-    let mut tensors: Vec<Tensor> = Vec::new();
-    for idx in 0..count {
-        let rank = read_u64(r, "tensor rank")?;
-        if rank > MAX_RANK {
-            return Err(invalid(format!(
-                "tensor {idx}: implausible rank {rank} (max {MAX_RANK})"
-            )));
-        }
-        let mut shape = Vec::with_capacity(rank as usize);
-        let mut len: u64 = 1;
-        for _ in 0..rank {
-            let dim = read_u64(r, "tensor shape")?;
-            len = len
-                .checked_mul(dim)
-                .filter(|&l| l <= MAX_ELEMENTS)
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "tensor {idx}: element count overflows {MAX_ELEMENTS}"
-                    ))
-                })?;
-            shape.push(dim as usize);
-        }
-        let data = read_f32_payload(r, len, &format!("tensor {idx}"))?;
-        tensors.push(Tensor::from_vec(&shape, data));
-    }
-    Ok(tensors)
 }
 
-/// Bounded `f32` payload read: the buffer grows with the bytes actually
-/// present, so a huge declared length on a short file fails with
-/// `InvalidData` instead of allocating `len` elements up front.
-fn read_f32_payload<R: Read>(r: &mut R, len: u64, what: &str) -> io::Result<Vec<f32>> {
-    let byte_len = len * 4;
-    let mut bytes = Vec::new();
-    r.by_ref().take(byte_len).read_to_end(&mut bytes)?;
-    if bytes.len() as u64 != byte_len {
-        return Err(invalid(format!(
-            "{what}: payload truncated ({} of {byte_len} bytes)",
-            bytes.len()
-        )));
-    }
-    Ok(bytes
+/// Takes `len` `f32`s, once all of their bytes are present.
+fn f32s(r: &mut Reader<'_>, len: usize) -> io::Result<Vec<f32>> {
+    let byte_len = len
+        .checked_mul(4)
+        .ok_or_else(|| wire::invalid("payload length overflows"))?;
+    Ok(r.take(byte_len)?
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
         .collect())
 }
 
-/// Loads decoded parameters and buffers into `net`: all or nothing.
-/// Every parameter shape and buffer length is checked before the first
-/// assignment, so a file that does not fit leaves `net` exactly as it
-/// was.
-fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: &[Vec<f32>]) -> io::Result<()> {
+/// Decodes the parameter tensors and buffers of a state, checking only
+/// that they are well formed.
+fn decode_state(bytes: &[u8]) -> io::Result<(Vec<Tensor>, Vec<Vec<f32>>)> {
+    let mut r = Reader::new(bytes);
+    if r.take(STATE_MAGIC.len())? != STATE_MAGIC {
+        return Err(wire::invalid("not a PowerPruning network state"));
+    }
+    // A tensor costs at least its rank field, a shape dimension and a
+    // buffer length 8 bytes each, a buffer element 4.
+    let count = r.bounded_len(8)?;
+    let mut tensors = Vec::with_capacity(count);
+    for idx in 0..count {
+        let rank = r.bounded_len(8)?;
+        let mut shape = Vec::with_capacity(rank);
+        let mut len = 1usize;
+        for _ in 0..rank {
+            let dim = usize::try_from(r.u64()?)
+                .map_err(|_| wire::invalid(format!("tensor {idx}: dimension overflows")))?;
+            len = len
+                .checked_mul(dim)
+                .ok_or_else(|| wire::invalid(format!("tensor {idx}: element count overflows")))?;
+            shape.push(dim);
+        }
+        let data = f32s(&mut r, len)?;
+        tensors.push(Tensor::from_vec(&shape, data));
+    }
+    let count = r.bounded_len(8)?;
+    let mut buffers = Vec::with_capacity(count);
+    for _ in 0..count {
+        let len = r.bounded_len(4)?;
+        buffers.push(f32s(&mut r, len)?);
+    }
+    r.finish()?;
+    Ok((tensors, buffers))
+}
+
+/// Reads a full network state written by [`save_state`] into `net`,
+/// which must have the identical structure (same parameters *and* the
+/// same buffer layout).
+///
+/// Hardened against hostile or truncated input through
+/// [`charstore::wire::Reader`]: every count is bounded by the bytes
+/// that remain before anything is allocated for it, element counts are
+/// multiplied out with overflow checks, a payload is taken only once
+/// all of its bytes are present, and trailing bytes are rejected.
+/// Nothing is assigned until the whole state has decoded and every
+/// shape and buffer length matches, so on any error `net` is left
+/// untouched.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] on bad magic, implausible or
+/// truncated contents, trailing bytes or a structure mismatch.
+pub fn load_state(net: &mut Network, bytes: &[u8]) -> io::Result<()> {
+    let (tensors, buffers) = decode_state(bytes)?;
     let mut shapes: Vec<Vec<usize>> = Vec::new();
     net.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
     if shapes.len() != tensors.len() {
-        return Err(invalid(format!(
-            "file has {} tensors, network has {} parameters",
+        return Err(wire::invalid(format!(
+            "state has {} tensors, network has {} parameters",
             tensors.len(),
             shapes.len()
         )));
     }
     for (idx, (shape, t)) in shapes.iter().zip(&tensors).enumerate() {
         if shape[..] != *t.shape() {
-            return Err(invalid(format!(
-                "parameter {idx} shape {shape:?} != file shape {:?}",
+            return Err(wire::invalid(format!(
+                "parameter {idx} shape {shape:?} != state shape {:?}",
                 t.shape()
             )));
         }
@@ -171,71 +141,25 @@ fn assign(net: &mut Network, tensors: Vec<Tensor>, buffers: &[Vec<f32>]) -> io::
     let mut lens: Vec<usize> = Vec::new();
     net.visit_buffers(&mut |b| lens.push(b.len()));
     if lens.len() != buffers.len() {
-        return Err(invalid(format!(
-            "file has {} buffers, network has {} buffers",
+        return Err(wire::invalid(format!(
+            "state has {} buffers, network has {} buffers",
             buffers.len(),
             lens.len()
         )));
     }
-    for (idx, (&len, decoded)) in lens.iter().zip(buffers).enumerate() {
+    for (idx, (&len, decoded)) in lens.iter().zip(&buffers).enumerate() {
         if len != decoded.len() {
-            return Err(invalid(format!(
-                "buffer {idx} length {len} != file length {}",
+            return Err(wire::invalid(format!(
+                "buffer {idx} length {len} != state length {}",
                 decoded.len()
             )));
         }
     }
-    let mut decoded = buffers.iter();
-    net.visit_buffers(&mut |b| b.copy_from_slice(decoded.next().expect("counts checked")));
+    let mut buffers = buffers.iter();
+    net.visit_buffers(&mut |b| b.copy_from_slice(buffers.next().expect("counts checked")));
     let mut tensors = tensors.into_iter();
     net.visit_params(&mut |p| p.value = tensors.next().expect("counts checked"));
     Ok(())
-}
-
-/// Reads a full network state written by [`save_state`] into `net`,
-/// which must have the identical structure (same parameters *and* the
-/// same buffer layout).
-///
-/// Hardened against hostile or truncated input: the `u64` tensor
-/// count, rank, shape, buffer count and buffer length fields are
-/// bounded *before* any allocation (a corrupted count can never trigger
-/// a huge `Vec::with_capacity`), payload buffers grow only as bytes
-/// actually arrive, input that ends inside any field is truncated, and
-/// trailing bytes after the last buffer are rejected. Nothing is
-/// assigned until the whole file has decoded and every shape and
-/// buffer length matches, so on any error `net` is left untouched.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure, bad magic, implausible or
-/// truncated contents, trailing bytes, or structure mismatch — all
-/// malformed-input cases as [`io::ErrorKind::InvalidData`].
-pub fn load_state<R: Read>(net: &mut Network, mut r: R) -> io::Result<()> {
-    if &read_field(&mut r, "magic")? != STATE_MAGIC {
-        return Err(invalid("not a PowerPruning network state file"));
-    }
-    let tensors = read_tensors(&mut r)?;
-
-    let buf_count = read_u64(&mut r, "buffer count")?;
-    if buf_count > MAX_TENSORS {
-        return Err(invalid(format!(
-            "implausible buffer count {buf_count} (max {MAX_TENSORS})"
-        )));
-    }
-    let mut buffers: Vec<Vec<f32>> = Vec::new();
-    for idx in 0..buf_count {
-        let len = read_u64(&mut r, "buffer length")?;
-        if len > MAX_ELEMENTS {
-            return Err(invalid(format!(
-                "buffer {idx}: implausible length {len} (max {MAX_ELEMENTS})"
-            )));
-        }
-        buffers.push(read_f32_payload(&mut r, len, &format!("buffer {idx}"))?);
-    }
-    if r.read(&mut [0u8; 1])? != 0 {
-        return Err(invalid("trailing bytes after the last buffer"));
-    }
-    assign(net, tensors, &buffers)
 }
 
 /// Encodes a capture trace — the quantized GEMM operand streams of one
@@ -313,8 +237,7 @@ mod tests {
         let x = Tensor::full(&[1, 1, 8, 8], 0.3);
         let before = net.predict(&x);
 
-        let mut buf = Vec::new();
-        save_state(&mut net, &mut buf).expect("save");
+        let buf = save_state(&mut net);
 
         let mut other = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(99));
         assert_ne!(other.predict(&x).data(), before.data());
@@ -332,17 +255,14 @@ mod tests {
     #[test]
     fn structure_mismatch_is_rejected() {
         let mut a = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut state = Vec::new();
-        save_state(&mut a, &mut state).expect("save state");
+        let state = save_state(&mut a);
 
         // A rejected load leaves the target untouched, although every
         // parameter before the classifier would fit.
         let mut target = models::tiny_cnn("b", 1, 8, 5, &mut StdRng::seed_from_u64(5));
-        let mut before = Vec::new();
-        save_state(&mut target, &mut before).expect("save state");
+        let before = save_state(&mut target);
         assert!(load_state(&mut target, state.as_slice()).is_err());
-        let mut after = Vec::new();
-        save_state(&mut target, &mut after).expect("save state");
+        let after = save_state(&mut target);
         assert_eq!(after, before, "a rejected load changed the network");
     }
 
@@ -352,11 +272,9 @@ mod tests {
         // wherever the cut falls: `InvalidData`, with the target network
         // untouched.
         let mut source = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut state = Vec::new();
-        save_state(&mut source, &mut state).expect("save state");
+        let state = save_state(&mut source);
         let mut target = models::tiny_cnn("a", 1, 8, 3, &mut StdRng::seed_from_u64(99));
-        let mut before = Vec::new();
-        save_state(&mut target, &mut before).expect("save state");
+        let before = save_state(&mut target);
         for cut in 0..state.len() {
             let err = load_state(&mut target, &state[..cut]).unwrap_err();
             assert_eq!(
@@ -365,8 +283,7 @@ mod tests {
                 "state cut at {cut}: {err}"
             );
         }
-        let mut after = Vec::new();
-        save_state(&mut target, &mut after).expect("save state");
+        let after = save_state(&mut target);
         assert_eq!(after, before, "a truncated load changed the network");
     }
 
@@ -377,7 +294,7 @@ mod tests {
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("implausible tensor count"));
+        assert!(err.to_string().contains("implausible count"));
     }
 
     #[test]
@@ -388,7 +305,7 @@ mod tests {
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd rank
         let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("implausible rank"));
+        assert!(err.to_string().contains("implausible count"));
     }
 
     #[test]
@@ -422,8 +339,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut net = models::tiny_cnn("s", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut buf = Vec::new();
-        save_state(&mut net, &mut buf).expect("save");
+        let mut buf = save_state(&mut net);
         buf.push(0xab);
         let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -455,8 +371,7 @@ mod tests {
         }
         let before = net.predict(&x);
 
-        let mut buf = Vec::new();
-        save_state(&mut net, &mut buf).expect("save");
+        let buf = save_state(&mut net);
 
         // The same parameters without the running statistics: a fresh
         // net built with the same seed.
@@ -472,11 +387,68 @@ mod tests {
         assert_eq!(full.predict(&x).data(), before.data());
     }
 
+    /// Every network the pipeline builds (Micro's `tiny_cnn`, the Mini
+    /// zoo) round-trips bit for bit after a training forward has moved
+    /// its batch-norm statistics: Table I's delay sweep rolls each of
+    /// them back this way.
+    #[test]
+    fn every_pipeline_network_round_trips_bit_for_bit() {
+        type Build = fn(&mut StdRng) -> Network;
+        let zoo: [(&str, Build); 5] = [
+            ("tiny_cnn", |rng| models::tiny_cnn("micro", 3, 20, 10, rng)),
+            ("lenet5", |rng| models::lenet5(3, 20, 10, rng)),
+            ("resnet", |rng| {
+                models::resnet("resnet20-mini", 3, 20, 1, 8, rng)
+            }),
+            ("resnet50_mini", |rng| {
+                models::resnet50_mini(3, 10, 1, 8, rng)
+            }),
+            ("efficientnet_lite_mini", |rng| {
+                models::efficientnet_lite_mini(3, 10, rng)
+            }),
+        ];
+        let batch = |offset: usize| {
+            let pixels = (0..2 * 3 * 20 * 20).map(|i| ((i * 7 + offset) % 13) as f32 * 0.08);
+            Tensor::from_vec(&[2, 3, 20, 20], pixels.collect())
+        };
+        let buffers = |net: &mut Network| {
+            let mut all = Vec::new();
+            net.visit_buffers(&mut |b| all.extend_from_slice(b));
+            all
+        };
+        let (x, other) = (batch(0), batch(5));
+        for (name, build) in zoo {
+            let mut net = build(&mut StdRng::seed_from_u64(3));
+            let _ = net.forward_train(&x);
+            let before = net.predict(&x);
+            let state = save_state(&mut net);
+            let saved_buffers = buffers(&mut net);
+
+            let _ = net.forward_train(&other);
+            net.visit_params(&mut |p| {
+                for v in p.value.data_mut() {
+                    *v += 0.25;
+                }
+            });
+            if !saved_buffers.is_empty() {
+                assert_ne!(
+                    buffers(&mut net),
+                    saved_buffers,
+                    "{name}: statistics did not move"
+                );
+            }
+            assert_ne!(net.predict(&x).data(), before.data(), "{name}");
+
+            load_state(&mut net, &state).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(save_state(&mut net), state, "{name}: state changed");
+            assert_eq!(net.predict(&x).data(), before.data(), "{name}");
+        }
+    }
+
     #[test]
     fn state_buffer_length_mismatch_is_rejected() {
         let mut a = bn_net(1);
-        let mut buf = Vec::new();
-        save_state(&mut a, &mut buf).expect("save");
+        let mut buf = save_state(&mut a);
         use crate::layers::{BatchNorm2d, Conv2d};
         use crate::model::Sequential;
         let mut rng = StdRng::seed_from_u64(2);
@@ -497,8 +469,7 @@ mod tests {
     fn state_rejects_weights_magic() {
         // A valid state body behind the retired parameters-only magic.
         let mut net = bn_net(3);
-        let mut buf = Vec::new();
-        save_state(&mut net, &mut buf).expect("save");
+        let mut buf = save_state(&mut net);
         buf[..8].copy_from_slice(b"PPNNWTS1");
         let err = load_state(&mut net, buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -254,16 +254,6 @@ impl Histogram {
         }
         *self.core.bounds.last().unwrap_or(&0.0)
     }
-
-    /// p50 / p95 / p99 snapshot — the readout the CLI tables print.
-    #[must_use]
-    pub fn percentiles(&self) -> (f64, f64, f64) {
-        (
-            self.quantile(0.50),
-            self.quantile(0.95),
-            self.quantile(0.99),
-        )
-    }
 }
 
 #[derive(Debug)]
@@ -538,7 +528,7 @@ mod tests {
                 "q{q}: got {got}, expected ~{expect}"
             );
         }
-        let (p50, p95, p99) = h.percentiles();
+        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
         assert!(p50 <= p95 && p95 <= p99);
     }
 

@@ -262,11 +262,9 @@ proptest! {
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut net = nn::models::tiny_cnn("prop-noop", 1, 8, 3, &mut rng);
-        let mut before = Vec::new();
-        nn::serialize::save_state(&mut net, &mut before).unwrap();
+        let before = nn::serialize::save_state(&mut net);
         let masks = magnitude_prune(&mut net, 0.0);
-        let mut after = Vec::new();
-        nn::serialize::save_state(&mut net, &mut after).unwrap();
+        let after = nn::serialize::save_state(&mut net);
         prop_assert_eq!(before, after, "sparsity 0.0 changed the network");
         prop_assert!(masks.iter().all(|m| m.iter().all(|&b| !b)));
     }
@@ -281,8 +279,7 @@ fn nn_encodings() -> &'static (Vec<u8>, Vec<u8>) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut net = nn::models::tiny_cnn("prop-state", 1, 8, 3, &mut StdRng::seed_from_u64(4));
-        let mut state = Vec::new();
-        nn::serialize::save_state(&mut net, &mut state).unwrap();
+        let state = nn::serialize::save_state(&mut net);
         let (_, captures) = net.forward_capture(&Tensor::full(&[1, 1, 8, 8], 0.3));
         assert!(!captures.is_empty());
         let mut trace = Vec::new();
@@ -300,11 +297,7 @@ fn nn_encodings() -> &'static (Vec<u8>, Vec<u8>) {
 fn assert_nn_decoders_hold(bytes: &[u8]) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let save = |net: &mut nn::Network| {
-        let mut out = Vec::new();
-        nn::serialize::save_state(net, &mut out).unwrap();
-        out
-    };
+    let save = nn::serialize::save_state;
     let mut target = nn::models::tiny_cnn("prop-state", 1, 8, 3, &mut StdRng::seed_from_u64(99));
     let before = save(&mut target);
     match nn::serialize::load_state(&mut target, bytes) {

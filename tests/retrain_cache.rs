@@ -21,12 +21,6 @@ fn retrain_counter(name: &str) -> u64 {
     obs::metrics::counter_value(name).unwrap_or(0)
 }
 
-fn net_state(net: &mut nn::model::Network) -> Vec<u8> {
-    let mut buf = Vec::new();
-    nn::serialize::save_state(net, &mut buf).expect("Vec writes cannot fail");
-    buf
-}
-
 /// A sweep point with every float swapped for its bit pattern.
 type PointBits = (u64, usize, u64, u64, u64);
 
@@ -81,7 +75,7 @@ fn warm_sweep_replays_retraining_with_zero_epochs() {
     let mut rng = StdRng::seed_from_u64(0x51);
     let acc_cold =
         cached_restricted_retrain(&cold.ctx(), &mut prepared, Some(&allowed), None, &mut rng);
-    let state_cold = net_state(&mut prepared.net);
+    let state_cold = nn::serialize::save_state(&mut prepared.net);
 
     let warm = Pipeline::with_cache_dir(cfg, &dir);
     let mut prepared_w = warm.prepare(NetworkKind::LeNet5);
@@ -105,7 +99,7 @@ fn warm_sweep_replays_retraining_with_zero_epochs() {
         "retrain hit returned different accuracy bits"
     );
     assert_eq!(
-        net_state(&mut prepared_w.net),
+        nn::serialize::save_state(&mut prepared_w.net),
         state_cold,
         "retrain hit did not restore the network bit-exactly"
     );
