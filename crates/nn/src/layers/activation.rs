@@ -13,6 +13,11 @@ use crate::quant::ActQuantizer;
 use crate::tensor::Tensor;
 
 /// Clipped ReLU (ReLU6-style) with optional quantization/restriction.
+///
+/// The forward pass runs as separate element-wise passes so each one
+/// vectorizes: the gradient mask (training), the clip to `[0, range]`,
+/// and under a quantizing context [`ActQuantizer::quantize`] of the
+/// clipped values.
 #[derive(Debug)]
 pub struct QuantReLU {
     name: String,
@@ -34,30 +39,19 @@ impl QuantReLU {
 }
 
 impl Layer for QuantReLU {
-    /// Clips, records the gradient mask (training) and fake-quantizes
-    /// (quantizing context) in one pass over the input.
     fn forward(&mut self, input: &Tensor, ctx: &mut Context) -> Tensor {
         let range = self.quant.range;
-        let fake_quant = ctx.quantize.then(|| self.quant.fake_quantizer());
-        let activate = |v: f32| {
-            let clipped = v.clamp(0.0, range);
-            fake_quant.as_ref().map_or(clipped, |q| q(clipped))
-        };
-        let out = if ctx.training {
-            self.mask.resize(input.len(), false);
-            input
-                .data()
-                .iter()
-                .zip(&mut self.mask)
-                .map(|(&v, m)| {
-                    *m = v > 0.0 && v < range;
-                    activate(v)
-                })
-                .collect()
+        if ctx.training {
+            self.mask.clear();
+            self.mask
+                .extend(input.data().iter().map(|&v| v > 0.0 && v < range));
+        }
+        let clipped = input.map(|v| v.clamp(0.0, range));
+        if ctx.quantize {
+            self.quant.quantize(&clipped).dequant
         } else {
-            input.data().iter().map(|&v| activate(v)).collect()
-        };
-        Tensor::from_vec(input.shape(), out)
+            clipped
+        }
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -83,7 +77,58 @@ impl Layer for QuantReLU {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::tests::{edge_values, reference_code};
     use crate::quant::ValueSet;
+
+    #[test]
+    fn forward_matches_a_per_element_reference_bit_for_bit() {
+        // range = 255 · 2⁻⁵ sets the code step to 2⁻⁵; 6.0 to an inexact one.
+        for range in [7.968_75f32, 6.0] {
+            let scale = (range / 255.0).max(1e-8);
+            let mut xs = edge_values(scale, 0, 255);
+            xs.extend([
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -1.0,
+                range + 1.0,
+                -1e30,
+                1e30,
+            ]);
+            let x = Tensor::from_vec(&[xs.len()], xs.clone());
+            let restricted = ValueSet::new([0, 3, 64, 128, 200, 255]);
+            for allowed in [None, Some(restricted)] {
+                for (training, quantize) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let mut relu = QuantReLU::new("r", range);
+                    relu.quant.allowed = allowed.clone();
+                    let mut ctx = Context {
+                        training,
+                        quantize,
+                        capture: None,
+                    };
+                    let y = relu.forward(&x, &mut ctx);
+                    for (i, &v) in xs.iter().enumerate() {
+                        let clipped = v.clamp(0.0, range);
+                        let expected = if quantize {
+                            reference_code(clipped, scale, 0, 255, allowed.as_ref()) as f32 * scale
+                        } else {
+                            clipped
+                        };
+                        assert_eq!(
+                            y.data()[i].to_bits(),
+                            expected.to_bits(),
+                            "x = {v:e}, training {training}, quantize {quantize}"
+                        );
+                    }
+                    if training {
+                        let mask: Vec<bool> = xs.iter().map(|&v| v > 0.0 && v < range).collect();
+                        assert_eq!(relu.mask, mask, "quantize {quantize}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn clips_to_range() {

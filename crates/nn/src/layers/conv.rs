@@ -3,7 +3,7 @@
 
 use crate::layers::{Context, GemmCapture, Layer, Param};
 use crate::linalg::{matmul, matmul_nt, matmul_tn};
-use crate::quant::WeightQuantizer;
+use crate::quant::{round_clamp, WeightQuantizer};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use std::ops::Range;
@@ -113,43 +113,42 @@ impl Conv2d {
         lo..hi.max(lo)
     }
 
-    /// The `[cg·k·k × b·oh·ow]` patch matrix of one group. Each
-    /// (channel, kernel offset, image, output row) copies its in-bounds
-    /// span of input pixels at once; padding stays zero.
+    /// The `[cg·k·k × b·oh·ow]` patch matrix of one group, written once
+    /// in memory order: row (channel, kernel offset) by row, each output
+    /// row of each image as its leading padding zeros, its in-bounds
+    /// span of input pixels and its trailing padding zeros. No pass
+    /// zeroes the matrix first, and every geometry takes this one path.
     fn im2col(&self, input: &Tensor, group: usize) -> Vec<f32> {
         let [b, _c, h, w]: [usize; 4] = self.cached_input_shape[..]
             .try_into()
             .expect("conv input must be 4-D");
         let (oh, ow) = self.output_hw(h, w);
         let cg = self.in_ch / self.groups;
-        let kk = self.k * self.k;
-        let n = b * oh * ow;
-        let mut col = vec![0.0f32; cg * kk * n];
+        let mut col = Vec::with_capacity(cg * self.k * self.k * b * oh * ow);
         let data = input.data();
-        for bi in 0..b {
-            for c in 0..cg {
-                let ch = group * cg + c;
-                let plane =
-                    &data[(bi * self.in_ch + ch) * h * w..(bi * self.in_ch + ch + 1) * h * w];
-                for ki in 0..self.k {
-                    for kj in 0..self.k {
-                        let row = (c * kk + ki * self.k + kj) * n + bi * oh * ow;
-                        let xs = self.valid_span(kj, w, ow);
-                        if xs.is_empty() {
-                            continue;
-                        }
-                        let x0 = xs.start * self.stride + kj - self.pad;
-                        for oy in self.valid_span(ki, h, oh) {
-                            let y = oy * self.stride + ki - self.pad;
-                            let src = &plane[y * w + x0..(y + 1) * w];
-                            let dst = &mut col[row + oy * ow + xs.start..row + oy * ow + xs.end];
-                            if self.stride == 1 {
-                                dst.copy_from_slice(&src[..dst.len()]);
-                            } else {
-                                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(self.stride)) {
-                                    *d = v;
-                                }
+        for c in 0..cg {
+            let ch = group * cg + c;
+            for ki in 0..self.k {
+                let ys = self.valid_span(ki, h, oh);
+                for kj in 0..self.k {
+                    let xs = self.valid_span(kj, w, ow);
+                    for bi in 0..b {
+                        let plane = &data[(bi * self.in_ch + ch) * h * w..][..h * w];
+                        for oy in 0..oh {
+                            if xs.is_empty() || !ys.contains(&oy) {
+                                col.resize(col.len() + ow, 0.0);
+                                continue;
                             }
+                            let y = oy * self.stride + ki - self.pad;
+                            let x0 = xs.start * self.stride + kj - self.pad;
+                            let src = &plane[y * w + x0..(y + 1) * w];
+                            col.resize(col.len() + xs.start, 0.0);
+                            if self.stride == 1 {
+                                col.extend_from_slice(&src[..xs.len()]);
+                            } else {
+                                col.extend(src.iter().step_by(self.stride).take(xs.len()));
+                            }
+                            col.resize(col.len() + ow - xs.end, 0.0);
                         }
                     }
                 }
@@ -159,8 +158,9 @@ impl Conv2d {
     }
 
     /// Scatter-adds one group's patch-matrix gradient into the input
-    /// gradient: [`Conv2d::im2col`]'s spans in its order, so every input
-    /// pixel sums its contributions in the same sequence.
+    /// gradient, span by in-bounds span: every input pixel sums its
+    /// contributions in (kernel offset, output row) order, as the
+    /// general per-pixel loop does.
     fn col2im(&self, grad_col: &[f32], grad_input: &mut Tensor, group: usize) {
         let [b, _c, h, w]: [usize; 4] = self.cached_input_shape[..].try_into().unwrap();
         let (oh, ow) = self.output_hw(h, w);
@@ -184,8 +184,14 @@ impl Conv2d {
                             let y = oy * self.stride + ki - self.pad;
                             let dst = &mut data[base + y * w + x0..base + (y + 1) * w];
                             let src = &grad_col[row + oy * ow + xs.start..row + oy * ow + xs.end];
-                            for (d, &g) in dst.iter_mut().step_by(self.stride).zip(src) {
-                                *d += g;
+                            if self.stride == 1 {
+                                for (d, &g) in dst.iter_mut().zip(src) {
+                                    *d += g;
+                                }
+                            } else {
+                                for (d, &g) in dst.iter_mut().step_by(self.stride).zip(src) {
+                                    *d += g;
+                                }
                             }
                         }
                     }
@@ -275,7 +281,7 @@ impl Layer for Conv2d {
                 let act_scale = (self.input_range / 255.0).max(1e-8);
                 let act_codes: Vec<u8> = col
                     .iter()
-                    .map(|&v| (v / act_scale).round().clamp(0.0, 255.0) as u8)
+                    .map(|&v| round_clamp(v / act_scale, 0, 255) as u8)
                     .collect();
                 captures.push(GemmCapture {
                     layer: format!("{}[g{g}]", self.name),

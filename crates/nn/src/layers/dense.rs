@@ -2,7 +2,7 @@
 
 use crate::layers::{Context, GemmCapture, Layer, Param};
 use crate::linalg::{matmul, matmul_nt, matmul_tn};
-use crate::quant::WeightQuantizer;
+use crate::quant::{round_clamp, WeightQuantizer};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -88,7 +88,7 @@ impl Layer for Dense {
             for bi in 0..b {
                 for fi in 0..self.in_features {
                     let v = input.data()[bi * self.in_features + fi];
-                    act_codes[fi * b + bi] = (v / act_scale).round().clamp(0.0, 255.0) as u8;
+                    act_codes[fi * b + bi] = round_clamp(v / act_scale, 0, 255) as u8;
                 }
             }
             captures.push(GemmCapture {

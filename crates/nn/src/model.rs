@@ -2,7 +2,7 @@
 //! [`Network`] wrapper that exposes the PowerPruning hooks.
 
 use crate::layers::{Context, GemmCapture, Layer, Param};
-use crate::quant::{ActQuantizer, ValueSet, WeightQuantizer};
+use crate::quant::{round_clamp, ActQuantizer, ValueSet, WeightQuantizer};
 use crate::tensor::Tensor;
 
 /// A chain of layers executed in order.
@@ -331,8 +331,7 @@ impl Network {
                 // weight tensors only
                 let scale = (p.value.max_abs() / 127.0).max(1e-8);
                 for &v in p.value.data() {
-                    let code = (v / scale).round().clamp(-127.0, 127.0) as i32;
-                    if code == 0 {
+                    if round_clamp(v / scale, -127, 127) == 0 {
                         zeros += 1;
                     }
                     total += 1;

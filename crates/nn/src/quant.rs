@@ -168,13 +168,14 @@ impl WeightQuantizer {
     pub fn quantize(&self, w: &Tensor) -> QuantizedWeights {
         let scale = (w.max_abs() / 127.0).max(1e-8);
         let project = projection_table::<255>(self.allowed.as_ref(), -127);
-        let mut codes = Vec::with_capacity(w.len());
-        let mut dequant = Vec::with_capacity(w.len());
-        for &v in w.data() {
-            let code = project[(round_clamp(v / scale, -127, 127) + 127) as usize];
-            codes.push(code as i8);
-            dequant.push(code as f32 * scale);
+        let mut codes = vec![0i8; w.len()];
+        for (code, &v) in codes.iter_mut().zip(w.data()) {
+            *code = round_clamp(v / scale, -127, 127) as i8;
         }
+        for code in &mut codes {
+            *code = project[(i32::from(*code) + 127) as usize] as i8;
+        }
+        let dequant = codes.iter().map(|&code| f32::from(code) * scale).collect();
         QuantizedWeights {
             scale,
             codes,
@@ -216,55 +217,56 @@ impl ActQuantizer {
 
     /// Quantizes `x`: `scale = range / 255`,
     /// `code = clamp(round(x / scale), 0, 255)`, projected onto the
-    /// allowed set when one is configured.
+    /// allowed set when one is configured; `dequant` holds
+    /// `code · scale`. NaN takes code 0, as `f32::round` then an `as`
+    /// cast would give it.
+    ///
+    /// Three passes over preallocated buffers (raw codes, table
+    /// projection, dequantized values), so the first and last run
+    /// several lanes at a time.
     #[must_use]
     pub fn quantize(&self, x: &Tensor) -> QuantizedActs {
-        let scale = self.scale();
+        let scale = (self.range / 255.0).max(1e-8);
         let project = projection_table::<256>(self.allowed.as_ref(), 0);
-        let mut codes = Vec::with_capacity(x.len());
-        let mut dequant = Vec::with_capacity(x.len());
-        for &v in x.data() {
-            let code = project[raw_act_code(v, scale)];
-            codes.push(code as u8);
-            dequant.push(code as f32 * scale);
+        let mut codes = vec![0u8; x.len()];
+        for (code, &v) in codes.iter_mut().zip(x.data()) {
+            *code = round_clamp(v / scale, 0, 255) as u8;
         }
+        for code in &mut codes {
+            *code = project[usize::from(*code)] as u8;
+        }
+        let dequant = codes.iter().map(|&code| f32::from(code) * scale).collect();
         QuantizedActs {
             scale,
             codes,
             dequant: Tensor::from_vec(x.shape(), dequant),
         }
     }
-
-    /// Fake-quantizes one activation: the function maps `v` to what
-    /// [`ActQuantizer::quantize`] puts in `dequant` for it, by looking
-    /// up a table of all 256 dequantized codes.
-    pub(crate) fn fake_quantizer(&self) -> impl Fn(f32) -> f32 {
-        let scale = self.scale();
-        let project = projection_table::<256>(self.allowed.as_ref(), 0);
-        let values: [f32; 256] = std::array::from_fn(|i| project[i] as f32 * scale);
-        move |v| values[raw_act_code(v, scale)]
-    }
-
-    fn scale(&self) -> f32 {
-        (self.range / 255.0).max(1e-8)
-    }
-}
-
-/// The activation code of `v` before projection:
-/// `clamp(round(v / scale), 0, 255)`.
-fn raw_act_code(v: f32, scale: f32) -> usize {
-    round_clamp(v / scale, 0, 255) as usize
 }
 
 /// `x.round().clamp(lo, hi) as i32` (round half away from zero; NaN
-/// maps to 0) in integer arithmetic, without a `roundf` call per value.
+/// maps to 0) in integer arithmetic, without a `roundf` call per value,
+/// so a loop over a slice vectorizes.
 ///
 /// Clamping to one past the bounds first keeps `|x|` small, where the
 /// truncation `t` and the fraction `x - t` are exact, and cannot change
-/// the final clamped result.
-fn round_clamp(x: f32, lo: i32, hi: i32) -> i32 {
+/// the final clamped result. NaN passes through a clamp unchanged, so it
+/// is mapped to 0 first: that keeps the `as i32` result of the libm
+/// form, and leaves the conversion only finite values that `i32` holds.
+///
+/// # Panics
+///
+/// Panics unless `−2²⁴ < lo ≤ 0 ≤ hi < 2²⁴` (constant at every call
+/// site, so the check folds away).
+pub(crate) fn round_clamp(x: f32, lo: i32, hi: i32) -> i32 {
+    const EXACT: i32 = 1 << 24;
+    assert!((1 - EXACT..=0).contains(&lo) && (0..EXACT).contains(&hi));
+    let x = if x.is_nan() { 0.0 } else { x };
     let x = x.clamp(lo as f32 - 1.0, hi as f32 + 1.0);
-    let t = x as i32;
+    // SAFETY: `x` is not NaN, and the clamp holds it to
+    // `lo − 1 ..= hi + 1`, whose bounds are exact `f32` integers inside
+    // `i32` (asserted above), so truncating it cannot overflow.
+    let t: i32 = unsafe { x.to_int_unchecked() };
     let frac = x - t as f32;
     (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)).clamp(lo, hi)
 }
@@ -286,8 +288,64 @@ impl Default for ActQuantizer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One step of a xorshift64 stream.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Inputs for a quantizer whose code step is `scale` and whose codes
+    /// run over `lo..=hi`: NaN of both signs, signed zeros, subnormals,
+    /// both ends of the range, every `k + 0.5` code boundary inside it
+    /// with the floats on either side, and seeded values across it. With
+    /// `scale` a power of two every boundary divides exactly. Nothing
+    /// lies past `hi · scale`, so a weight tensor of these values keeps
+    /// `scale` as its own.
+    pub(crate) fn edge_values(scale: f32, lo: i32, hi: i32) -> Vec<f32> {
+        let subnormal = f32::MIN_POSITIVE / 3.0;
+        let mut xs = vec![
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            subnormal,
+            -subnormal,
+            lo as f32 * scale,
+            hi as f32 * scale,
+        ];
+        for k in lo..hi {
+            let half = (k as f32 + 0.5) * scale;
+            for ulps in -1i32..=1 {
+                xs.push(f32::from_bits(half.to_bits().wrapping_add_signed(ulps)));
+            }
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1000 {
+            let unit = (xorshift(&mut seed) >> 40) as f32 / (1u64 << 24) as f32;
+            xs.push((lo as f32 + unit * (hi - lo) as f32) * scale);
+        }
+        xs
+    }
+
+    /// The code of `v` as a per-element loop computes it: libm `round`,
+    /// clamp, `as` cast, then the nearest allowed code.
+    pub(crate) fn reference_code(
+        v: f32,
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        allowed: Option<&ValueSet>,
+    ) -> i32 {
+        let code = (v / scale).round().clamp(lo as f32, hi as f32) as i32;
+        allowed.map_or(code, |set| set.project(code))
+    }
 
     #[test]
     fn value_set_sorts_and_dedups() {
@@ -399,14 +457,86 @@ mod tests {
         }
         let mut seed = 0x2545_f491_4f6c_dd1du64;
         for _ in 0..100_000 {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            xs.push((seed >> 40) as f32 / (1u64 << 24) as f32 * 600.0 - 300.0);
+            let x = xorshift(&mut seed);
+            xs.push((x >> 40) as f32 / (1u64 << 24) as f32 * 600.0 - 300.0);
+        }
+        // Arbitrary bit patterns: every exponent, subnormals and NaN
+        // payloads reach the unchecked conversion.
+        for _ in 0..300_000 {
+            xs.push(f32::from_bits((xorshift(&mut seed) >> 32) as u32));
         }
         for &x in &xs {
             for (lo, hi) in [(-127, 127), (0, 255)] {
                 assert_eq!(round_clamp(x, lo, hi), reference(x, lo, hi), "x = {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn weight_quantizer_matches_a_per_element_reference_bit_for_bit() {
+        // max|w| = 127 · 2⁻⁴ sets the scale to 2⁻⁴.
+        let finite = edge_values(0.0625, -127, 127);
+        // An infinite weight makes the scale infinite.
+        let infinite = vec![f32::INFINITY, 1.0, f32::NEG_INFINITY, f32::NAN, -0.0];
+        let restricted = ValueSet::new([-100, -31, -2, 0, 5, 64, 127]);
+        for allowed in [None, Some(restricted)] {
+            let quant = WeightQuantizer {
+                allowed: allowed.clone(),
+            };
+            for w in [&finite, &infinite] {
+                let max_abs = w.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let scale = (max_abs / 127.0).max(1e-8);
+                let q = quant.quantize(&Tensor::from_vec(&[w.len()], w.clone()));
+                assert_eq!(q.scale.to_bits(), scale.to_bits());
+                for (i, &v) in w.iter().enumerate() {
+                    let code = reference_code(v, scale, -127, 127, allowed.as_ref());
+                    assert_eq!(i32::from(q.codes[i]), code, "w = {v:e}");
+                    let dequant = code as f32 * scale;
+                    assert_eq!(
+                        q.dequant.data()[i].to_bits(),
+                        dequant.to_bits(),
+                        "w = {v:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn act_quantizer_matches_a_per_element_reference_bit_for_bit() {
+        // range = 255 · 2⁻⁵ sets the scale to 2⁻⁵; 6.0 to an inexact one.
+        for range in [7.968_75f32, 6.0] {
+            let scale = (range / 255.0).max(1e-8);
+            let mut xs = edge_values(scale, 0, 255);
+            xs.extend([
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -0.5 * scale,
+                255.5 * scale,
+                -1.0,
+                range + 1.0,
+                -1e30,
+                1e30,
+            ]);
+            let x = Tensor::from_vec(&[xs.len()], xs.clone());
+            let restricted = ValueSet::new([0, 3, 64, 128, 200, 255]);
+            for allowed in [None, Some(restricted)] {
+                let quant = ActQuantizer {
+                    range,
+                    allowed: allowed.clone(),
+                };
+                let q = quant.quantize(&x);
+                assert_eq!(q.scale.to_bits(), scale.to_bits());
+                for (i, &v) in xs.iter().enumerate() {
+                    let code = reference_code(v, scale, 0, 255, allowed.as_ref());
+                    assert_eq!(i32::from(q.codes[i]), code, "x = {v:e}");
+                    let dequant = code as f32 * scale;
+                    assert_eq!(
+                        q.dequant.data()[i].to_bits(),
+                        dequant.to_bits(),
+                        "x = {v:e}"
+                    );
+                }
             }
         }
     }
